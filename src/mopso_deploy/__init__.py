@@ -1,43 +1,3 @@
 """Multi-objective PSO with an interval-distance stopping rule."""
 
-from .convergence import (
-    ConvergenceConfig,
-    ConvergenceMonitor,
-    FrontSnapshot,
-    dominated_set,
-    interval_distance,
-    relative_distance,
-    should_stop,
-)
-from .mopso import (
-    MopsoConfig,
-    ParetoArchive,
-    Particle,
-    crowding_distances,
-    dominates,
-    pareto_filter,
-    select_leader,
-    step,
-)
-from .runner import (
-    ExperimentConfig,
-    RunResult,
-    c_ratio_report,
-    load_experiment,
-    run_monte_carlo,
-    run_single,
-)
-from .scenario import (
-    InterferenceRegion,
-    RadarParams,
-    Rectangle,
-    Scenario,
-    default_scenario,
-    discretize_region,
-    joint_objective,
-    load_scenario,
-    power_density,
-    region_objective,
-)
-
 __version__ = "0.1.0"

@@ -20,10 +20,8 @@ import json
 import os
 import re
 import sys
-
 from dataclasses import replace
 
-from .convergence import ConvergenceConfig
 from .runner import (
     ConfigError,
     c_ratio_report,
@@ -39,14 +37,13 @@ from .scenario import ScenarioError
 
 
 def _apply_overrides(cfg, args):
-    mopso = cfg.mopso
     conv = cfg.convergence
     if getattr(args, "mode", None):
         conv = replace(conv, mode=args.mode)
     if getattr(args, "cadence", None):
         conv = replace(conv, cadence=args.cadence.replace("-", "_").replace(
             "every_iter", "every_iteration"))
-    cfg = replace(cfg, mopso=mopso, convergence=conv)
+    cfg = replace(cfg, convergence=conv)
     if getattr(args, "trials", None):
         cfg = replace(cfg, trials=args.trials)
     if getattr(args, "seed", None) is not None:
@@ -87,11 +84,19 @@ def cmd_report(args):
     for path in glob.glob(pattern):
         match = re.search(r"front_t(\d+)\.csv$", path)
         if match:
-            values, _ = read_front_csv(path)
+            try:
+                values, _ = read_front_csv(path)
+            except ValueError as exc:
+                raise ConfigError(f"malformed front file: {exc}") from None
+            if values.shape[1] != 2:
+                raise ConfigError(f"{path}: the c-ratio report needs f1,f2 fronts")
             fronts[int(match.group(1))] = values
     if not fronts:
         raise ConfigError(f"no front_t*.csv files found in {args.results}")
-    anchors = [float(a) for a in args.anchors.split(",")] if args.anchors else None
+    try:
+        anchors = [float(a) for a in args.anchors.split(",")] if args.anchors else None
+    except ValueError:
+        raise ConfigError(f"--anchors must be numbers, got {args.anchors!r}") from None
     report = c_ratio_report(fronts, anchors=anchors)
     out = args.out or os.path.join(args.results, "c_ratio.csv")
     write_c_ratio_csv(out, report)
@@ -139,7 +144,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, ValueError) as exc:
+    except (ConfigError, ScenarioError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     except OSError as exc:

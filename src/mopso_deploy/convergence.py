@@ -14,10 +14,11 @@ threshold.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .mopso import dominance
 
 MODES = ("max", "min", "avg")
 CADENCES = ("every_h", "every_iteration")
@@ -67,57 +68,48 @@ class ConvergenceConfig:
             raise ValueError("relative_threshold must be non-negative")
 
 
-def dominated_set(k, front_t, front_prev):
-    """Members of the older front dominated by point k of the newer one."""
-    v = front_t.values[k]
-    prev = front_prev.values
-    mask = (prev <= v).all(axis=1) & (prev < v).any(axis=1)
-    return prev[mask]
+def relative_distances(front_t, front_prev):
+    """Per point of the newer front, the minimum distance to the older-front
+    points it dominates; 0 where it dominates none."""
+    new = front_t.values[:, None, :]
+    old = front_prev.values[None, :, :]
+    dom = dominance(new, old)
+    diffs = new - old
+    dist = np.where(dom, np.sqrt((diffs * diffs).sum(axis=2)), np.inf).min(axis=1)
+    dist[~dom.any(axis=1)] = 0.0
+    return dist
 
 
 def relative_distance(k, front_t, front_prev):
-    """Minimum distance from point k to the old points it dominates; 0 if none."""
-    dominated = dominated_set(k, front_t, front_prev)
-    if dominated.shape[0] == 0:
-        return 0.0
-    diffs = dominated - front_t.values[k]
-    return float(np.sqrt((diffs * diffs).sum(axis=1)).min())
+    """``relative_distances`` for point k of the newer front alone."""
+    point = FrontSnapshot(front_t.iteration, front_t.values[k])
+    return float(relative_distances(point, front_prev)[0])
 
 
-def relative_distances(front_t, front_prev):
-    """Vectorized relative_distance for every point of the newer front."""
-    new = front_t.values
-    old = front_prev.values
-    dom = (old[None, :, :] <= new[:, None, :]).all(axis=2) & (
-        old[None, :, :] < new[:, None, :]
-    ).any(axis=2)
-    diffs = new[:, None, :] - old[None, :, :]
-    dist = np.sqrt((diffs * diffs).sum(axis=2))
-    dist = np.where(dom, dist, np.inf)
-    out = dist.min(axis=1)
-    out[~dom.any(axis=1)] = 0.0
-    return out
+def aggregate(dis):
+    """Zero-excluded max/min/avg of relative distances; returns (dist, z).
+
+    ``dist`` maps each mode to its aggregate and z counts the zero
+    distances. When every distance is zero (an unmoved front), every
+    aggregate is defined as 0.
+    """
+    nonzero = dis[dis != 0.0]
+    z = dis.size - nonzero.size
+    if nonzero.size == 0:
+        return dict.fromkeys(MODES, 0.0), z
+    return {
+        "max": float(nonzero.max()),
+        "min": float(nonzero.min()),
+        "avg": float(nonzero.sum() / nonzero.size),
+    }, z
 
 
 def interval_distance(front_t, front_prev, mode="avg"):
-    """Aggregate the relative distances of the newer front; returns (dist, z).
-
-    Zero relative distances are excluded from the aggregation; z counts
-    them. When every relative distance is zero (an unmoved front), the
-    aggregate is defined as 0 for all modes.
-    """
+    """Aggregate the relative distances of the newer front; returns (dist, z)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    dis = relative_distances(front_t, front_prev)
-    z = int(np.count_nonzero(dis == 0.0))
-    nonzero = dis[dis != 0.0]
-    if nonzero.size == 0:
-        return 0.0, z
-    if mode == "max":
-        return float(nonzero.max()), z
-    if mode == "min":
-        return float(nonzero.min()), z
-    return float(nonzero.sum() / (dis.size - z)), z
+    dist, z = aggregate(relative_distances(front_t, front_prev))
+    return dist[mode], z
 
 
 @dataclass
@@ -137,29 +129,26 @@ class DistanceTrace:
     def append(self, record):
         self.records.append(record)
 
-    def by_iteration(self):
-        return {r.iteration: r for r in self.records}
-
     def __len__(self):
         return len(self.records)
 
 
-def should_stop(trace, cfg):
-    """Threshold test on the two most recent comparable aggregates.
+def should_stop(trace, cfg, threshold=None):
+    """Threshold test on the latest aggregate and the one h iterations earlier.
 
     True iff aggregates exist at both t and t-h and their absolute
-    difference is within the threshold. ``cfg.relative_threshold`` is
-    resolved by the monitor; here ``cfg.threshold`` is used as given.
+    difference is within ``threshold`` (default ``cfg.threshold``; the
+    monitor passes its resolved relative threshold). Records are in
+    increasing iteration order, so the one at t-h is among the last h+1.
     """
     if len(trace) == 0:
         return False
-    by_iter = trace.by_iteration()
-    t = trace.records[-1].iteration
-    prev = by_iter.get(t - cfg.step)
-    if prev is None:
-        return False
-    cur = by_iter[t]
-    return abs(cur.dist[cfg.mode] - prev.dist[cfg.mode]) <= cfg.threshold
+    cur = trace.records[-1]
+    for prev in trace.records[-cfg.step - 1 : -1]:
+        if prev.iteration == cur.iteration - cfg.step:
+            limit = cfg.threshold if threshold is None else threshold
+            return abs(cur.dist[cfg.mode] - prev.dist[cfg.mode]) <= limit
+    return False
 
 
 class ConvergenceMonitor:
@@ -178,7 +167,7 @@ class ConvergenceMonitor:
         self.cfg = cfg
         self.max_iterations = max_iterations
         self.trace = DistanceTrace()
-        self._snapshots = OrderedDict()  # iteration -> FrontSnapshot
+        self._snapshots = {}  # iteration -> FrontSnapshot
         self._resolved_threshold = (
             None if cfg.relative_threshold is not None else cfg.threshold
         )
@@ -209,48 +198,26 @@ class ConvergenceMonitor:
         self._snapshots[t] = snap
         h = self.cfg.step
         decision = self.CONTINUE
-        if self._is_evaluation_point(t):
-            prev = self._snapshots.get(t - h)
-            if prev is not None:
-                def aggregates(cur, old):
-                    dis = relative_distances(cur, old)
-                    nz = dis[dis != 0.0]
-                    n_zero = dis.size - nz.size
-                    if nz.size == 0:
-                        return {m: 0.0 for m in MODES}, n_zero
-                    return {
-                        "max": float(nz.max()),
-                        "min": float(nz.min()),
-                        "avg": float(nz.sum() / nz.size),
-                    }, n_zero
-
-                dist_raw, z = aggregates(snap, prev)
-                if self.cfg.normalized:
-                    dist, _ = aggregates(*self._normalize(snap, prev))
-                else:
-                    dist = dist_raw
-                self.trace.append(
-                    TraceRecord(
-                        iteration=t,
-                        n_points=snap.size,
-                        z=z,
-                        dist=dist,
-                        dist_raw=dist_raw,
-                    )
+        prev = self._snapshots.get(t - h) if self._is_evaluation_point(t) else None
+        if prev is not None:
+            dist_raw, z = aggregate(relative_distances(snap, prev))
+            if self.cfg.normalized:
+                dist, _ = aggregate(relative_distances(*self._normalize(snap, prev)))
+            else:
+                dist = dist_raw
+            self.trace.append(
+                TraceRecord(
+                    iteration=t, n_points=snap.size, z=z, dist=dist, dist_raw=dist_raw
                 )
-                if self._resolved_threshold is None:
-                    self._resolved_threshold = (
-                        self.cfg.relative_threshold * dist[self.cfg.mode]
-                    )
-                by_iter = self.trace.by_iteration()
-                ref = by_iter.get(t - h)
-                if ref is not None:
-                    diff = abs(dist[self.cfg.mode] - ref.dist[self.cfg.mode])
-                    if diff <= self._resolved_threshold:
-                        decision = self.STOP
+            )
+            if self._resolved_threshold is None:
+                self._resolved_threshold = (
+                    self.cfg.relative_threshold * dist[self.cfg.mode]
+                )
+            if should_stop(self.trace, self.cfg, self._resolved_threshold):
+                decision = self.STOP
         # drop snapshots too old to be compared against again
-        stale = [it for it in self._snapshots if it < t - h + 1]
-        for it in stale:
+        for it in [it for it in self._snapshots if it <= t - h]:
             del self._snapshots[it]
         if self.max_iterations is not None and t >= self.max_iterations:
             decision = self.STOP

@@ -6,7 +6,12 @@ Multi-objective particle swarm optimizer over a boxed decision space.
 Maximization convention throughout: vector a dominates b when a >= b in
 every objective and a > b in at least one. Non-dominated candidates are
 kept in an external archive; the swarm leader is drawn from the archive
-by a crowding-distance tournament.
+by a crowding-distance tournament (Coello Coello, Pulido & Lechuga,
+IEEE TEVC 8(3), 2004; crowding distance from NSGA-II).
+
+State is array-backed: row i of every ``Swarm`` array belongs to
+particle i, and the archive keeps row-aligned value, position and
+crowding arrays.
 
 Determinism contract: every stochastic draw flows from the single
 ``numpy.random.Generator`` passed in, so identical (seed, config,
@@ -15,7 +20,7 @@ objective) reproduces the full trajectory bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +34,6 @@ class MopsoConfig:
     v_max: float = 1.0
     archive_capacity: int | None = None  # None = unbounded
     max_iterations: int = 1000
-    rng_seed: int = 0
-    # Eq.-style scalar r1/r2 per particle per iteration by default;
-    # per-dimension draws available as an option.
-    r_per_dimension: bool = False
-    leader_selection: str = "tournament"  # or "roulette"
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -46,8 +46,11 @@ class MopsoConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.archive_capacity is not None and self.archive_capacity < 1:
             raise ValueError("archive_capacity must be >= 1 or None")
-        if self.leader_selection not in ("tournament", "roulette"):
-            raise ValueError("leader_selection must be 'tournament' or 'roulette'")
+
+
+def dominance(a, b):
+    """Mask of "a dominates b" over the last axis, broadcasting the rest."""
+    return (a >= b).all(axis=-1) & (a > b).any(axis=-1)
 
 
 def dominates(a, b):
@@ -56,33 +59,19 @@ def dominates(a, b):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"objective length mismatch: {a.shape} vs {b.shape}")
-    return bool(np.all(a >= b) and np.any(a > b))
+    return bool(dominance(a, b))
 
 
 def pareto_filter(values):
     """Indices of the non-dominated members of ``values``.
 
-    Duplicates of a surviving value all survive. Incremental sweep; the
-    test suite checks it against an all-pairs oracle.
+    Duplicates of a surviving value all survive.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] == 0:
         raise ValueError("pareto_filter needs a non-empty list of vectors")
-    n = vals.shape[0]
-    keep: list[int] = []  # indices of the current non-dominated set
-    for i in range(n):
-        v = vals[i]
-        if keep:
-            kept = vals[keep]
-            ge = kept >= v
-            gt = kept > v
-            if np.any(ge.all(axis=1) & gt.any(axis=1)):
-                continue  # dominated by a kept member
-            beaten = (~gt).all(axis=1) & (~ge).any(axis=1)  # kept <= v and < somewhere
-            if beaten.any():
-                keep = [j for j, b in zip(keep, beaten) if not b]
-        keep.append(i)
-    return sorted(keep)
+    dominated = dominance(vals[:, None, :], vals[None, :, :]).any(axis=0)
+    return np.flatnonzero(~dominated).tolist()
 
 
 def crowding_distances(values):
@@ -109,94 +98,83 @@ def crowding_distances(values):
 
 
 @dataclass
-class Particle:
-    position: np.ndarray  # flat decision vector (D,)
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_value: np.ndarray
+class Swarm:
+    """Particle state; row i of every array belongs to particle i."""
 
+    position: np.ndarray  # (N, D)
+    velocity: np.ndarray  # (N, D)
+    best_position: np.ndarray  # (N, D)
+    best_value: np.ndarray  # (N, M)
 
-@dataclass
-class ArchiveEntry:
-    position: np.ndarray
-    value: np.ndarray
-    crowding: float = np.inf
+    def __len__(self):
+        return self.position.shape[0]
 
 
 class ParetoArchive:
     """External archive of mutually non-dominated (position, value) pairs.
 
-    Crowding distances are recomputed after every mutation; when a
-    bounded archive overflows, the entry with the smallest crowding is
-    evicted (ties broken uniformly at random).
+    Row k of ``values()``, ``positions()`` and ``crowding`` describe one
+    member, in insertion order. Crowding distances are recomputed after
+    every mutation; when a bounded archive overflows, the member with the
+    smallest crowding is evicted (ties broken uniformly at random). Each
+    mutation replaces the arrays rather than writing into them.
     """
 
     def __init__(self, capacity=None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 or None")
         self.capacity = capacity
-        self.entries: list[ArchiveEntry] = []
-        self._values = np.empty((0, 0))
+        self._values = np.empty((0, 0))  # (K, M)
+        self._positions = np.empty((0, 0))  # (K, D)
+        self.crowding = np.empty(0)  # (K,)
 
     def __len__(self):
-        return len(self.entries)
+        return self._values.shape[0]
 
     def values(self):
         """(K, M) array of the archive's objective vectors."""
         return self._values.copy()
 
     def positions(self):
-        return np.array([e.position for e in self.entries])
+        """(K, D) array of the archive's decision vectors."""
+        return self._positions.copy()
 
-    def _refresh(self):
-        if self.entries:
-            self._values = np.array([e.value for e in self.entries])
-            crowd = crowding_distances(self._values)
-            for e, c in zip(self.entries, crowd):
-                e.crowding = float(c)
-        else:
-            self._values = np.empty((0, 0))
+    def _set(self, values, positions):
+        self._values = values
+        self._positions = positions
+        self.crowding = crowding_distances(values)
 
     def insert(self, position, value, rng=None):
         """Insert a candidate; returns True if it entered the archive."""
         value = np.asarray(value, dtype=float)
-        if self.entries:
-            vals = self._values
-            if vals.shape[1] != value.size:
-                raise ValueError("candidate objective length mismatch")
-            ge = vals >= value
-            gt = vals > value
-            if np.any(ge.all(axis=1) & gt.any(axis=1)):
-                return False  # dominated by an existing entry
-            le = vals <= value
-            lt = vals < value
-            dominated_mask = le.all(axis=1) & lt.any(axis=1)
-            if dominated_mask.any():
-                self.entries = [
-                    e for e, d in zip(self.entries, dominated_mask) if not d
-                ]
-        self.entries.append(
-            ArchiveEntry(
-                position=np.array(position, dtype=float, copy=True), value=value
-            )
+        position = np.asarray(position, dtype=float)
+        if not len(self):
+            self._values = np.empty((0, value.size))
+            self._positions = np.empty((0, position.size))
+        elif self._values.shape[1] != value.size:
+            raise ValueError("candidate objective length mismatch")
+        if dominance(self._values, value).any():
+            return False  # dominated by a member
+        kept = ~dominance(value, self._values)
+        self._set(
+            np.concatenate([self._values[kept], value[None]]),
+            np.concatenate([self._positions[kept], position[None]]),
         )
-        self._refresh()
-        if self.capacity is not None and len(self.entries) > self.capacity:
-            crowd = np.array([e.crowding for e in self.entries])
-            minimal = np.flatnonzero(crowd == crowd.min())
+        if self.capacity is not None and len(self) > self.capacity:
+            minimal = np.flatnonzero(self.crowding == self.crowding.min())
             if minimal.size > 1:
                 if rng is None:
                     rng = np.random.default_rng()
                 evict = int(rng.choice(minimal))
             else:
                 evict = int(minimal[0])
-            del self.entries[evict]
-            self._refresh()
+            kept = np.arange(len(self)) != evict
+            self._set(self._values[kept], self._positions[kept])
         return True
 
 
-def select_leader(archive, rng, method="tournament"):
-    """Pick the swarm leader from the archive.
+def select_leader(archive, rng):
+    """Pick the swarm leader's position from the archive.
 
     Binary tournament on crowding distance: two uniform draws (with
     replacement), the larger crowding wins, ties broken uniformly.
@@ -205,63 +183,53 @@ def select_leader(archive, rng, method="tournament"):
     if n == 0:
         raise RuntimeError("cannot select a leader from an empty archive")
     if n == 1:
-        return archive.entries[0].position.copy()
-    if method == "tournament":
-        i, j = rng.integers(0, n, size=2)
-        a, b = archive.entries[int(i)], archive.entries[int(j)]
-        if a.crowding > b.crowding:
-            return a.position.copy()
-        if b.crowding > a.crowding:
-            return b.position.copy()
-        return (a if rng.random() < 0.5 else b).position.copy()
-    if method == "roulette":
-        crowd = np.array([e.crowding for e in archive.entries])
-        finite = crowd[np.isfinite(crowd)]
-        cap = 2.0 * finite.max() if finite.size and finite.max() > 0 else 1.0
-        weights = np.where(np.isfinite(crowd), crowd, cap)
-        total = weights.sum()
-        probs = np.full(n, 1.0 / n) if total <= 0 else weights / total
-        return archive.entries[int(rng.choice(n, p=probs))].position.copy()
-    raise ValueError(f"unknown leader selection method {method!r}")
-
-
-def update_velocity(particle, leader, cfg, rng):
-    """Inertia + cognitive + social velocity update, clamped to v_max."""
-    if cfg.r_per_dimension:
-        r1 = rng.random(particle.position.size)
-        r2 = rng.random(particle.position.size)
+        return archive._positions[0].copy()
+    i, j = rng.integers(0, n, size=2)
+    crowd = archive.crowding
+    if crowd[i] > crowd[j]:
+        k = i
+    elif crowd[j] > crowd[i]:
+        k = j
     else:
-        r1 = rng.random()
-        r2 = rng.random()
+        k = i if rng.random() < 0.5 else j
+    return archive._positions[k].copy()
+
+
+def update_velocity(swarm, i, leader, cfg, rng):
+    """Inertia + cognitive + social update of particle i's velocity.
+
+    One scalar r1 and r2 per particle per iteration; the result is
+    clamped to v_max, stored, and returned.
+    """
+    r1 = rng.random()
+    r2 = rng.random()
+    x = swarm.position[i]
     v = (
-        cfg.inertia * particle.velocity
-        + cfg.c1 * r1 * (particle.best_position - particle.position)
-        + cfg.c2 * r2 * (leader - particle.position)
+        cfg.inertia * swarm.velocity[i]
+        + cfg.c1 * r1 * (swarm.best_position[i] - x)
+        + cfg.c2 * r2 * (leader - x)
     )
-    return np.clip(v, -cfg.v_max, cfg.v_max)
+    return np.clip(v, -cfg.v_max, cfg.v_max, out=swarm.velocity[i])
 
 
-def update_position(particle, lower, upper):
-    """Move by the current velocity, clamp into the box.
+def update_position(swarm, i, lower, upper):
+    """Move particle i by its velocity, clamp into the box.
 
     A clamped coordinate has its velocity component zeroed so particles
     do not stick to the boundary.
     """
-    raw = particle.position + particle.velocity
+    raw = swarm.position[i] + swarm.velocity[i]
     clamped = np.clip(raw, lower, upper)
-    hit = clamped != raw
-    if hit.any():
-        particle.velocity = np.where(hit, 0.0, particle.velocity)
-    particle.position = clamped
+    swarm.velocity[i, clamped != raw] = 0.0
+    swarm.position[i] = clamped
     return clamped
 
 
-def update_personal_best(particle, new_value):
-    """Replace the personal best iff the new objective dominates it."""
-    new_value = np.asarray(new_value, dtype=float)
-    if dominates(new_value, particle.best_value):
-        particle.best_position = particle.position.copy()
-        particle.best_value = new_value
+def update_personal_best(swarm, i, new_value):
+    """Replace particle i's personal best iff the new objective dominates it."""
+    if dominates(new_value, swarm.best_value[i]):
+        swarm.best_position[i] = swarm.position[i]
+        swarm.best_value[i] = new_value
         return True
     return False
 
@@ -275,43 +243,35 @@ def init_swarm(objective, lower, upper, cfg, rng):
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    dim = lower.size
-    particles = []
+    position = np.empty((cfg.swarm_size, lower.size))
+    velocity = np.empty_like(position)
     values = []
-    for _ in range(cfg.swarm_size):
-        pos = rng.uniform(lower, upper)
-        vel = rng.uniform(-cfg.v_max, cfg.v_max, size=dim)
-        val = np.asarray(objective(pos), dtype=float)
-        particles.append(
-            Particle(
-                position=pos,
-                velocity=vel,
-                best_position=pos.copy(),
-                best_value=val,
-            )
-        )
-        values.append(val)
+    for i in range(cfg.swarm_size):
+        position[i] = rng.uniform(lower, upper)
+        velocity[i] = rng.uniform(-cfg.v_max, cfg.v_max, size=lower.size)
+        values.append(np.asarray(objective(position[i]), dtype=float))
+    swarm = Swarm(position, velocity, position.copy(), np.array(values))
     archive = ParetoArchive(capacity=cfg.archive_capacity)
-    for i in pareto_filter(np.array(values)):
-        archive.insert(particles[i].position, values[i], rng=rng)
-    return particles, archive
+    for i in pareto_filter(swarm.best_value):
+        archive.insert(position[i], swarm.best_value[i], rng=rng)
+    return swarm, archive
 
 
-def step(particles, archive, objective, lower, upper, cfg, rng):
+def step(swarm, archive, objective, lower, upper, cfg, rng):
     """One MOPSO iteration over every particle, in index order.
 
     Per particle: select leader, update velocity then position, evaluate
     the objective, update the personal best, offer the new point to the
-    archive. Mutates ``particles`` and ``archive`` in place and returns
-    them for convenience.
+    archive. Mutates ``swarm`` and ``archive`` in place and returns them
+    for convenience.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    for particle in particles:
-        leader = select_leader(archive, rng, cfg.leader_selection)
-        particle.velocity = update_velocity(particle, leader, cfg, rng)
-        update_position(particle, lower, upper)
-        value = np.asarray(objective(particle.position), dtype=float)
-        update_personal_best(particle, value)
-        archive.insert(particle.position, value, rng=rng)
-    return particles, archive
+    for i in range(len(swarm)):
+        leader = select_leader(archive, rng)
+        update_velocity(swarm, i, leader, cfg, rng)
+        update_position(swarm, i, lower, upper)
+        value = np.asarray(objective(swarm.position[i]), dtype=float)
+        update_personal_best(swarm, i, value)
+        archive.insert(swarm.position[i], value, rng=rng)
+    return swarm, archive

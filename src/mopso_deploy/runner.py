@@ -16,7 +16,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def _section(doc, key, cls=dict):
     return value
 
 
-def _build(cls, obj, context, error=ConfigError):
+def _build(cls, obj, context):
     try:
         return cls(**obj)
     except TypeError:
@@ -101,24 +101,14 @@ def _build(cls, obj, context, error=ConfigError):
         unknown = set(obj) - allowed
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{context}'") from None
     except ValueError as exc:
-        raise error(f"invalid '{context}': {exc}") from None
+        raise ConfigError(f"invalid '{context}': {exc}") from None
 
 
 def experiment_from_dict(doc, base_dir="."):
     """Build and validate an ExperimentConfig from a parsed document."""
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
-    known = {
-        "scenario",
-        "mopso",
-        "convergence",
-        "trials",
-        "base_seed",
-        "snapshot_iterations",
-        "output_dir",
-        "anchors",
-        "halt_on_stop",
-    }
+    known = {f.name for f in fields(ExperimentConfig)} - {"scenario_path"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in experiment config")
@@ -142,21 +132,26 @@ def experiment_from_dict(doc, base_dir="."):
             raise ConfigError("'anchors' must be a list of numbers")
         anchors = tuple(float(a) for a in anchors)
 
-    return ExperimentConfig(
-        scenario_path=scenario_path,
-        scenario=scenario,
-        mopso=mopso_cfg,
-        convergence=conv_cfg,
-        trials=int(doc.get("trials", 1)),
-        base_seed=int(doc.get("base_seed", 0)),
-        snapshot_iterations=tuple(
-            doc.get("snapshot_iterations", [s for s in DEFAULT_SNAPSHOTS
-                                            if s <= mopso_cfg.max_iterations])
-        ),
-        output_dir=str(doc.get("output_dir", "out")),
-        anchors=anchors,
-        halt_on_stop=bool(doc.get("halt_on_stop", True)),
-    )
+    try:
+        return ExperimentConfig(
+            scenario_path=scenario_path,
+            scenario=scenario,
+            mopso=mopso_cfg,
+            convergence=conv_cfg,
+            trials=int(doc.get("trials", 1)),
+            base_seed=int(doc.get("base_seed", 0)),
+            snapshot_iterations=tuple(
+                doc.get("snapshot_iterations", [s for s in DEFAULT_SNAPSHOTS
+                                                if s <= mopso_cfg.max_iterations])
+            ),
+            output_dir=str(doc.get("output_dir", "out")),
+            anchors=anchors,
+            halt_on_stop=bool(doc.get("halt_on_stop", True)),
+        )
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid experiment config: {exc}") from None
 
 
 def load_experiment(path):
@@ -193,7 +188,7 @@ def run_single(cfg, seed, keep_all_fronts=False):
     upper = np.tile([box.x_max, box.y_max], n_ant)
     objective = make_objective(scenario)
 
-    particles, archive = init_swarm(objective, lower, upper, cfg.mopso, rng)
+    swarm, archive = init_swarm(objective, lower, upper, cfg.mopso, rng)
     monitor = ConvergenceMonitor(
         cfg.convergence, max_iterations=cfg.mopso.max_iterations
     )
@@ -205,7 +200,7 @@ def run_single(cfg, seed, keep_all_fronts=False):
     stop_front = None
     t = 0
     for t in range(1, cfg.mopso.max_iterations + 1):
-        step(particles, archive, objective, lower, upper, cfg.mopso, rng)
+        step(swarm, archive, objective, lower, upper, cfg.mopso, rng)
         if t in cfg.snapshot_iterations:
             snapshots[t] = _front_record(t, archive)
         if keep_all_fronts:
@@ -336,40 +331,47 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, rows):
+def _write_text(path, text):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
 
 
-def write_front_csv(path, front):
-    """front_t{iter}.csv: objective values then the flat decision vector."""
+def _write_csv(path, header, rows):
+    _write_text(path, "".join(",".join(row) + "\n" for row in (header, *rows)))
+
+
+def _front_table(front):
+    """Header and rows of a front: objective values, then the flat layout."""
     values = np.atleast_2d(front.values)
     positions = np.atleast_2d(front.positions)
-    m = values.shape[1]
-    d = positions.shape[1]
-    header = [f"f{q + 1}" for q in range(m)] + [
-        f"{axis}{j + 1}" for j in range(d // 2) for axis in ("x", "y")
+    header = [f"f{q + 1}" for q in range(values.shape[1])] + [
+        f"{axis}{j + 1}" for j in range(positions.shape[1] // 2) for axis in ("x", "y")
     ]
-    rows = (
-        [_fmt(v) for v in values[k]] + [_fmt(p) for p in positions[k]]
-        for k in range(values.shape[0])
-    )
-    _write_csv(path, header, rows)
+    rows = [[_fmt(x) for x in (*v, *p)] for v, p in zip(values, positions)]
+    return header, rows
+
+
+def write_front_csv(path, front):
+    """front_t{iter}.csv: objective values then the flat decision vector."""
+    _write_csv(path, *_front_table(front))
 
 
 def read_front_csv(path):
-    """Inverse of write_front_csv; returns (values, positions)."""
+    """Inverse of write_front_csv; returns (values, positions).
+
+    Raises ValueError unless the header is followed by at least one row of
+    as many numbers as it has columns.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         m = sum(1 for name in header if name.startswith("f"))
-        data = np.array(
-            [[float(tok) for tok in line.rstrip("\n").split(",")] for line in fh]
-        )
+        rows = [[float(tok) for tok in line.rstrip("\n").split(",")] for line in fh]
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: expected rows of {len(header)} numbers")
+    data = np.array(rows)
     return data[:, :m], data[:, m:]
 
 
@@ -393,25 +395,8 @@ def write_c_ratio_csv(path, report):
 def _config_echo(cfg):
     return {
         "scenario": cfg.scenario_path,
-        "mopso": {
-            "swarm_size": cfg.mopso.swarm_size,
-            "inertia": cfg.mopso.inertia,
-            "c1": cfg.mopso.c1,
-            "c2": cfg.mopso.c2,
-            "v_max": cfg.mopso.v_max,
-            "archive_capacity": cfg.mopso.archive_capacity,
-            "max_iterations": cfg.mopso.max_iterations,
-            "r_per_dimension": cfg.mopso.r_per_dimension,
-            "leader_selection": cfg.mopso.leader_selection,
-        },
-        "convergence": {
-            "step": cfg.convergence.step,
-            "threshold": cfg.convergence.threshold,
-            "mode": cfg.convergence.mode,
-            "cadence": cfg.convergence.cadence,
-            "normalized": cfg.convergence.normalized,
-            "relative_threshold": cfg.convergence.relative_threshold,
-        },
+        "mopso": asdict(cfg.mopso),
+        "convergence": asdict(cfg.convergence),
         "trials": cfg.trials,
         "base_seed": cfg.base_seed,
         "snapshot_iterations": list(cfg.snapshot_iterations),
@@ -461,12 +446,7 @@ def _front_is_clean(values):
 
 
 def _write_json(path, obj):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def export_monte_carlo(results, cfg, directory, include_timings=False):
@@ -515,24 +495,13 @@ def export_monte_carlo(results, cfg, directory, include_timings=False):
     for it in cfg.snapshot_iterations:
         pooled = []
         for i, r in enumerate(results):
-            front = r.snapshots.get(it)
-            if front is None:
-                continue
-            for k in range(front.values.shape[0]):
-                pooled.append(
-                    [str(i)]
-                    + [_fmt(v) for v in front.values[k]]
-                    + [_fmt(p) for p in front.positions[k]]
-                )
+            if it in r.snapshots:
+                header, rows = _front_table(r.snapshots[it])
+                pooled += [[str(i)] + row for row in rows]
         if pooled:
-            m = results[0].final_front.values.shape[1]
-            d = results[0].final_front.positions.shape[1]
-            header = (
-                ["trial"]
-                + [f"f{q + 1}" for q in range(m)]
-                + [f"{axis}{j + 1}" for j in range(d // 2) for axis in ("x", "y")]
-            )
             _write_csv(
-                os.path.join(directory, f"pooled_front_t{it}.csv"), header, pooled
+                os.path.join(directory, f"pooled_front_t{it}.csv"),
+                ["trial"] + header,
+                pooled,
             )
     return summary

@@ -178,30 +178,42 @@ class Scenario:
         return self.radar.n_antennas
 
 
-def _as_layout(layout):
+def _as_layout(layout, radar):
     pos = np.asarray(layout, dtype=float)
     if pos.ndim == 1:
         pos = pos.reshape(-1, 2)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ScenarioError(f"layout must be (J, 2) positions, got shape {pos.shape}")
-    return pos
-
-
-def _cell_densities(layout, cells, radar, min_separation):
-    """Power density at every cell: (L,) array."""
-    pos = _as_layout(layout)
     if pos.shape[0] != radar.n_antennas:
         raise ScenarioError(
             f"layout has {pos.shape[0]} antennas, radar params have {radar.n_antennas}"
         )
-    cells = np.atleast_2d(np.asarray(cells, dtype=float))
-    # squared distances, clamped at min_separation^2 to kill the R->0 pole
-    d2 = (pos[:, 0, None] - cells[None, :, 0]) ** 2 + (
-        pos[:, 1, None] - cells[None, :, 1]
-    ) ** 2
-    r2 = np.maximum(d2, min_separation * min_separation)
+    return pos
+
+
+def _density_minima(cell_sets, radar, min_separation):
+    """Closure mapping a flat layout (2J,) to one value per cell set: the
+    minimum over its cells of the summed free-space power density.
+
+    Each antenna contributes P_t * G / (4 pi R^2), with R clamped from
+    below at ``min_separation`` to kill the R->0 pole.
+    """
     coef = radar.transmit_powers * radar.gains / (4.0 * math.pi)
-    return (coef[:, None] / r2).sum(axis=0)
+    min_sep2 = min_separation * min_separation
+    m = len(cell_sets)
+
+    def minima(flat):
+        pos = np.asarray(flat, dtype=float).reshape(-1, 2)
+        out = np.empty(m)
+        for i, c in enumerate(cell_sets):
+            d2 = (pos[:, 0, None] - c[None, :, 0]) ** 2 + (
+                pos[:, 1, None] - c[None, :, 1]
+            ) ** 2
+            np.maximum(d2, min_sep2, out=d2)
+            out[i] = (coef[:, None] / d2).sum(axis=0).min()
+        return out
+
+    return minima
 
 
 def power_density(layout, cell, radar, min_separation):
@@ -210,49 +222,29 @@ def power_density(layout, cell, radar, min_separation):
     Sum over antennas of P_t * G / (4 pi R^2), with R clamped from below
     at ``min_separation``.
     """
-    return float(_cell_densities(layout, cell, radar, min_separation)[0])
+    cells = np.atleast_2d(np.asarray(cell, dtype=float))
+    pos = _as_layout(layout, radar)
+    return float(_density_minima([cells], radar, min_separation)(pos)[0])
 
 
 def region_objective(layout, region, radar, min_separation):
     """Minimum power density over all cells of one region."""
-    return float(_cell_densities(layout, region.cells, radar, min_separation).min())
+    pos = _as_layout(layout, radar)
+    return float(_density_minima([region.cells], radar, min_separation)(pos)[0])
 
 
 def joint_objective(layout, scenario):
     """Objective vector: one region minimum per region, in index order."""
-    pos = _as_layout(layout)
-    out = np.array(
-        [
-            region_objective(pos, region, scenario.radar, scenario.min_separation)
-            for region in scenario.regions
-        ]
-    )
-    return out
+    return make_objective(scenario)(_as_layout(layout, scenario.radar))
 
 
 def make_objective(scenario):
     """Fast closure mapping a flat decision vector (2J,) to the objective.
 
-    Precomputes per-antenna coefficients and cell arrays; equivalent to
-    ``joint_objective`` on the reshaped layout.
+    Unvalidated; equivalent to ``joint_objective`` on the reshaped layout.
     """
-    coef = scenario.radar.transmit_powers * scenario.radar.gains / (4.0 * math.pi)
     cells = [r.cells for r in scenario.regions]
-    min_sep2 = scenario.min_separation * scenario.min_separation
-    m = scenario.n_regions
-
-    def objective(flat):
-        pos = np.asarray(flat, dtype=float).reshape(-1, 2)
-        out = np.empty(m)
-        for i, c in enumerate(cells):
-            d2 = (pos[:, 0, None] - c[None, :, 0]) ** 2 + (
-                pos[:, 1, None] - c[None, :, 1]
-            ) ** 2
-            np.maximum(d2, min_sep2, out=d2)
-            out[i] = (coef[:, None] / d2).sum(axis=0).min()
-        return out
-
-    return objective
+    return _density_minima(cells, scenario.radar, scenario.min_separation)
 
 
 # ---------------------------------------------------------------------------

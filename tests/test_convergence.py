@@ -16,13 +16,12 @@ from mopso_deploy.convergence import (
     DistanceTrace,
     FrontSnapshot,
     TraceRecord,
-    dominated_set,
     interval_distance,
     relative_distance,
     relative_distances,
     should_stop,
 )
-from mopso_deploy.mopso import pareto_filter
+from mopso_deploy.mopso import dominance, pareto_filter
 
 
 def front(values, iteration=0):
@@ -35,6 +34,12 @@ def random_front_pair(rng, n_old=30, n_new=30, m=2):
     old = old[pareto_filter(old)]
     new = new[pareto_filter(new)]
     return front(new, 5), front(old, 0)
+
+
+def dominated_set(k, front_t, front_prev):
+    """Members of the older front dominated by point k of the newer one,
+    selected with the dominance mask that relative_distances uses."""
+    return front_prev.values[dominance(front_t.values[k], front_prev.values)]
 
 
 class TestDominatedSet:
@@ -161,6 +166,13 @@ class TestShouldStop:
     def test_large_difference_continues(self):
         trace = DistanceTrace([record(5, 0.1), record(10, 0.5)])
         assert not should_stop(trace, self.CFG)
+
+    def test_compares_with_h_iterations_back(self):
+        # every-iteration records: t=10 is compared with t=5, not with t=9
+        trace = DistanceTrace([record(t, 0.01 * t) for t in range(5, 11)])
+        assert not should_stop(trace, self.CFG)
+        assert should_stop(trace, self.CFG, threshold=0.05)
+        assert not should_stop(trace, self.CFG, threshold=0.0499)
 
 
 class TestMonitor:

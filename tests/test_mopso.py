@@ -7,7 +7,7 @@ from conftest import oracle_dominates, oracle_pareto_indices
 from mopso_deploy.mopso import (
     MopsoConfig,
     ParetoArchive,
-    Particle,
+    Swarm,
     crowding_distances,
     dominates,
     init_swarm,
@@ -20,13 +20,18 @@ from mopso_deploy.mopso import (
 )
 
 
-def make_particle(position, velocity=None, best=None, best_value=(1.0, 1.0)):
-    position = np.asarray(position, dtype=float)
-    return Particle(
+def make_swarm(position, velocity=None, best=None, best_value=(1.0, 1.0)):
+    """Swarm whose rows are the given particles (a single 1-D row allowed)."""
+
+    def rows(x):
+        return np.array(x, dtype=float, ndmin=2)
+
+    position = rows(position)
+    return Swarm(
         position=position.copy(),
-        velocity=np.zeros_like(position) if velocity is None else np.asarray(velocity, float),
-        best_position=position.copy() if best is None else np.asarray(best, float),
-        best_value=np.asarray(best_value, float),
+        velocity=np.zeros_like(position) if velocity is None else rows(velocity),
+        best_position=position.copy() if best is None else rows(best),
+        best_value=np.repeat(rows(best_value), len(position), axis=0),
     )
 
 
@@ -116,55 +121,60 @@ class TestVelocityPosition:
 
     def test_all_zero_coefficients(self):
         cfg = MopsoConfig(swarm_size=2, inertia=0.0, c1=0.0, c2=0.0, v_max=4.0)
-        p = make_particle([1.0, 2.0], velocity=[3.0, -1.0])
-        v = update_velocity(p, p.position, cfg, np.random.default_rng(0))
+        p = make_swarm([1.0, 2.0], velocity=[3.0, -1.0])
+        v = update_velocity(p, 0, p.position[0], cfg, np.random.default_rng(0))
         assert v == pytest.approx([0.0, 0.0])
 
     def test_pure_inertia_when_attractors_coincide(self):
         cfg = MopsoConfig(swarm_size=2, inertia=0.5, v_max=10.0)
-        p = make_particle([1.0, 2.0], velocity=[2.0, -4.0])
-        v = update_velocity(p, p.position, cfg, np.random.default_rng(0))
+        p = make_swarm([1.0, 2.0], velocity=[2.0, -4.0])
+        v = update_velocity(p, 0, p.position[0], cfg, np.random.default_rng(0))
         assert v == pytest.approx([1.0, -2.0])
 
     def test_clamp_at_boundary(self):
         cfg = MopsoConfig(swarm_size=2, inertia=0.4, c1=0.0, c2=0.0, v_max=4.0)
-        p = make_particle([0.0, 0.0], velocity=[10.0, 0.0])
-        v = update_velocity(p, p.position, cfg, np.random.default_rng(0))
+        p = make_swarm([0.0, 0.0], velocity=[10.0, 0.0])
+        v = update_velocity(p, 0, p.position[0], cfg, np.random.default_rng(0))
         assert v == pytest.approx([4.0, 0.0])
 
     def test_zero_velocity_keeps_position(self):
-        p = make_particle([1.0, 1.0])
-        update_position(p, np.array([0.0, 0.0]), np.array([10.0, 10.0]))
-        assert p.position == pytest.approx([1.0, 1.0])
+        p = make_swarm([1.0, 1.0])
+        update_position(p, 0, np.array([0.0, 0.0]), np.array([10.0, 10.0]))
+        assert p.position[0] == pytest.approx([1.0, 1.0])
 
     def test_plain_addition(self):
-        p = make_particle([1.0, 1.0], velocity=[2.0, 3.0])
-        update_position(p, np.array([-100.0, -100.0]), np.array([100.0, 100.0]))
-        assert p.position == pytest.approx([3.0, 4.0])
+        p = make_swarm([1.0, 1.0], velocity=[2.0, 3.0])
+        update_position(p, 0, np.array([-100.0, -100.0]), np.array([100.0, 100.0]))
+        assert p.position[0] == pytest.approx([3.0, 4.0])
 
     def test_clamp_zeroes_velocity_component(self):
-        p = make_particle([69999.0, 0.0], velocity=[4.0, 0.0])
-        update_position(p, np.array([0.0, 0.0]), np.array([70000.0, 70000.0]))
-        assert p.position == pytest.approx([70000.0, 0.0])
-        assert p.velocity[0] == 0.0
+        # row 1 is clamped; row 0 is another particle and must not move
+        p = make_swarm(
+            [[5.0, 5.0], [69999.0, 0.0]], velocity=[[1.0, 1.0], [4.0, 0.0]]
+        )
+        update_position(p, 1, np.array([0.0, 0.0]), np.array([70000.0, 70000.0]))
+        assert p.position[1] == pytest.approx([70000.0, 0.0])
+        assert p.velocity[1, 0] == 0.0
+        assert p.position[0].tolist() == [5.0, 5.0]
+        assert p.velocity[0].tolist() == [1.0, 1.0]
 
 
 class TestPersonalBest:
     def test_dominating_value_replaces(self):
-        p = make_particle([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
-        assert update_personal_best(p, (3.0, 3.0))
-        assert p.best_value == pytest.approx([3.0, 3.0])
-        assert p.best_position == pytest.approx([5.0, 5.0])
+        p = make_swarm([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
+        assert update_personal_best(p, 0, (3.0, 3.0))
+        assert p.best_value[0] == pytest.approx([3.0, 3.0])
+        assert p.best_position[0] == pytest.approx([5.0, 5.0])
 
     def test_non_dominated_kept(self):
-        p = make_particle([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
-        assert not update_personal_best(p, (3.0, 1.0))
-        assert p.best_value == pytest.approx([2.0, 2.0])
+        p = make_swarm([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
+        assert not update_personal_best(p, 0, (3.0, 1.0))
+        assert p.best_value[0] == pytest.approx([2.0, 2.0])
 
     def test_equal_kept(self):
-        p = make_particle([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
-        assert not update_personal_best(p, (2.0, 2.0))
-        assert p.best_position == pytest.approx([0.0, 0.0])
+        p = make_swarm([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
+        assert not update_personal_best(p, 0, (2.0, 2.0))
+        assert p.best_position[0] == pytest.approx([0.0, 0.0])
 
 
 class TestArchive:
@@ -205,9 +215,30 @@ class TestArchive:
         archive.insert([0.0], (0.0, 2.0))
         archive.insert([1.0], (2.0, 0.0))
         archive.insert([2.0], (1.0, 1.0))
-        crowd = {tuple(e.value): e.crowding for e in archive.entries}
+        crowd = dict(zip(map(tuple, archive.values().tolist()), archive.crowding))
         assert crowd[(1.0, 1.0)] == pytest.approx(2.0)
         assert crowd[(0.0, 2.0)] == np.inf
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40),
+        st.sampled_from([None, 1, 2, 5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_invariants_under_random_inserts(self, points, capacity):
+        # a small integer grid forces tied and duplicate values
+        archive = ParetoArchive(capacity=capacity)
+        rng = np.random.default_rng(0)
+        value_of = {}  # inserted position -> its value; positions are unique
+        for n, point in enumerate(points):
+            position = (float(n), -float(n))
+            value_of[position] = tuple(map(float, point))
+            archive.insert(position, point, rng=rng)
+            vals = archive.values()
+            assert not any(oracle_dominates(a, b) for a in vals for b in vals)
+            assert capacity is None or len(archive) <= capacity
+            assert np.array_equal(archive.crowding, crowding_distances(vals))
+            for value, position in zip(vals.tolist(), archive.positions().tolist()):
+                assert value_of[tuple(position)] == tuple(value)
 
 
 class TestLeaderSelection:
@@ -247,13 +278,6 @@ class TestLeaderSelection:
         # chi-square with 1 dof at alpha = 0.001 -> |first - n/2| < 3.29*sqrt(n)/2
         assert abs(first - n / 2) < 3.29 * np.sqrt(n) / 2
 
-    def test_roulette_mode_runs(self, rng):
-        archive = ParetoArchive()
-        for i in range(5):
-            archive.insert([float(i)], (float(i), float(4 - i)))
-        picks = {tuple(select_leader(archive, rng, "roulette")) for _ in range(200)}
-        assert len(picks) > 1
-
 
 def sphere_objectives(x):
     # maximize closeness to two different corners
@@ -269,28 +293,27 @@ class TestStep:
 
     def run(self, cfg, seed, iterations):
         rng = np.random.default_rng(seed)
-        particles, archive = init_swarm(
+        swarm, archive = init_swarm(
             sphere_objectives, self.LOWER, self.UPPER, cfg, rng
         )
         history = [archive.values()]
         for _ in range(iterations):
-            step(particles, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+            step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
             history.append(archive.values())
-        return particles, archive, history
+        return swarm, archive, history
 
     def test_frozen_swarm_keeps_front_content(self):
         cfg = MopsoConfig(swarm_size=10, inertia=0.0, c1=0.0, c2=0.0, v_max=1.0)
         rng = np.random.default_rng(3)
-        particles, archive = init_swarm(
+        swarm, archive = init_swarm(
             sphere_objectives, self.LOWER, self.UPPER, cfg, rng
         )
         before = {tuple(v) for v in archive.values().tolist()}
-        positions = [p.position.copy() for p in particles]
-        step(particles, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        positions = swarm.position.copy()
+        step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
         after = {tuple(v) for v in archive.values().tolist()}
         assert after == before
-        for p, old in zip(particles, positions):
-            assert p.position == pytest.approx(old.tolist())
+        assert swarm.position.ravel() == pytest.approx(positions.ravel())
 
     def test_same_seed_identical_trajectory(self):
         cfg = MopsoConfig(swarm_size=12, v_max=1.0)
@@ -302,11 +325,10 @@ class TestStep:
 
     def test_velocity_and_box_invariants(self):
         cfg = MopsoConfig(swarm_size=15, v_max=0.7)
-        particles, _, _ = self.run(cfg, seed=9, iterations=30)
-        for p in particles:
-            assert (np.abs(p.velocity) <= 0.7 + 1e-12).all()
-            assert (p.position >= self.LOWER).all()
-            assert (p.position <= self.UPPER).all()
+        swarm, _, _ = self.run(cfg, seed=9, iterations=30)
+        assert (np.abs(swarm.velocity) <= 0.7 + 1e-12).all()
+        assert (swarm.position >= self.LOWER).all()
+        assert (swarm.position <= self.UPPER).all()
 
     def test_front_never_regresses(self):
         cfg = MopsoConfig(swarm_size=15, v_max=1.0)

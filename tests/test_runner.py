@@ -349,6 +349,52 @@ class TestCli:
         code = main(["run", "--config", str(tmp_path / "none.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("rng_seed", 0), ("r_per_dimension", False),
+         ("leader_selection", "tournament")],
+    )
+    def test_removed_mopso_knob_exit_2(self, config_dir, capsys, knob, value):
+        doc = tiny_experiment_doc()
+        doc["mopso"][knob] = value
+        path = config_dir / "old.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and knob in err["message"]
+
+    def test_non_numeric_config_value_exit_2(self, config_dir, capsys):
+        code = main(["run", "--config", str(write_experiment(config_dir, trials="x"))])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_internal_value_error_exit_1(self, config_dir, monkeypatch, capsys):
+        def broken(cfg, seed):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("mopso_deploy.cli.run_single", broken)
+        code = main(["run", "--config", str(write_experiment(config_dir))])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "internal"
+
+    def test_report_bad_anchors_exit_2(self, config_dir, tmp_path, capsys):
+        out = tmp_path / "anchors"
+        main(["run", "--config", str(write_experiment(config_dir)), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["report", "--results", str(out), "--anchors", "abc"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize(
+        "content",
+        ["f1,f2,x1,y1\n", "f1,f2,x1,y1\n1,2,3\n", "f1,f2,x1,y1\n1,2,x,4\n",
+         "f1,f2,f3,x1,y1\n1,2,3,4,5\n"],
+        ids=["header_only", "short_row", "non_numeric", "three_objectives"],
+    )
+    def test_report_bad_front_exit_2(self, tmp_path, capsys, content):
+        (tmp_path / "front_t10.csv").write_text(content)
+        assert main(["report", "--results", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_io_error_exit_3(self, config_dir, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
