@@ -71,11 +71,24 @@ class ConvergenceConfig:
 def relative_distances(front_t, front_prev):
     """Per point of the newer front, the minimum distance to the older-front
     points it dominates; 0 where it dominates none."""
-    new = front_t.values[:, None, :]
-    old = front_prev.values[None, :, :]
-    dom = dominance(new, old)
-    diffs = new - old
-    dist = np.where(dom, np.sqrt((diffs * diffs).sum(axis=2)), np.inf).min(axis=1)
+    new = front_t.values
+    old = front_prev.values
+    dom = dominance(new[:, None, :], old[None, :, :])
+    # Squared distances on the (K, K') plane, added one objective at a time
+    # in objective order. That is the order of a per-pair loop, and the one
+    # numpy's add.reduce takes over fewer than eight objectives (from eight
+    # on it sums pairwise).
+    sq = np.subtract.outer(new[:, 0], old[:, 0])
+    sq *= sq
+    d = np.empty_like(sq)
+    for q in range(1, new.shape[1]):
+        np.subtract.outer(new[:, q], old[:, q], out=d)
+        d *= d
+        sq += d
+    sq[~dom] = np.inf
+    # sqrt is correctly rounded, hence monotone: the root of the minimum
+    # is the minimum of the roots, bit for bit
+    dist = np.sqrt(sq.min(axis=1))
     dist[~dom.any(axis=1)] = 0.0
     return dist
 

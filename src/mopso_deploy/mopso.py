@@ -49,16 +49,26 @@ class MopsoConfig:
 
 
 def dominance(a, b):
-    """Mask of "a dominates b" over the last axis, broadcasting the rest."""
-    return (a >= b).all(axis=-1) & (a > b).any(axis=-1)
+    """Mask of "a dominates b" over the last axis, broadcasting the rest.
+
+    Built one objective at a time on the broadcast plane of the leading
+    axes; a reduction over the short objective axis costs more than the
+    comparisons themselves.
+    """
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"objective length mismatch: {a.shape} vs {b.shape}")
+    ge = a[..., 0] >= b[..., 0]
+    gt = a[..., 0] > b[..., 0]
+    for q in range(1, a.shape[-1]):
+        ge &= a[..., q] >= b[..., q]
+        gt |= a[..., q] > b[..., q]
+    return ge & gt
 
 
 def dominates(a, b):
     """True iff a >= b everywhere and a > b somewhere (maximization)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective length mismatch: {a.shape} vs {b.shape}")
     return bool(dominance(a, b))
 
 
@@ -145,9 +155,16 @@ class ParetoArchive:
         self.crowding = crowding_distances(values)
 
     def insert(self, position, value, rng=None):
-        """Insert a candidate; returns True if it entered the archive."""
+        """Insert a candidate; returns True if it entered the archive.
+
+        A candidate with a NaN or infinite objective raises ``ValueError``
+        and leaves the archive unchanged: no member could ever dominate a
+        NaN, so it would stay for good.
+        """
         value = np.asarray(value, dtype=float)
         position = np.asarray(position, dtype=float)
+        if not np.isfinite(value).all():
+            raise ValueError(f"non-finite archive candidate value {value.tolist()}")
         if not len(self):
             self._values = np.empty((0, value.size))
             self._positions = np.empty((0, position.size))
@@ -209,7 +226,8 @@ def update_velocity(swarm, i, leader, cfg, rng):
         + cfg.c1 * r1 * (swarm.best_position[i] - x)
         + cfg.c2 * r2 * (leader - x)
     )
-    return np.clip(v, -cfg.v_max, cfg.v_max, out=swarm.velocity[i])
+    np.maximum(v, -cfg.v_max, out=v)
+    return np.minimum(v, cfg.v_max, out=swarm.velocity[i])
 
 
 def update_position(swarm, i, lower, upper):
@@ -219,7 +237,7 @@ def update_position(swarm, i, lower, upper):
     do not stick to the boundary.
     """
     raw = swarm.position[i] + swarm.velocity[i]
-    clamped = np.clip(raw, lower, upper)
+    clamped = np.minimum(np.maximum(raw, lower), upper)
     swarm.velocity[i, clamped != raw] = 0.0
     swarm.position[i] = clamped
     return clamped

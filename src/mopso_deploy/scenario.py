@@ -198,20 +198,33 @@ def _density_minima(cell_sets, radar, min_separation):
     Each antenna contributes P_t * G / (4 pi R^2), with R clamped from
     below at ``min_separation`` to kill the R->0 pole.
     """
-    coef = radar.transmit_powers * radar.gains / (4.0 * math.pi)
+    coef = (radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None]
     min_sep2 = min_separation * min_separation
-    m = len(cell_sets)
+    # All cell sets side by side, so one (J, C) pass serves every set and
+    # reduceat takes each set's minimum over its own column range.
+    cells = np.concatenate(cell_sets)
+    cx = np.ascontiguousarray(cells[:, 0])
+    cy = np.ascontiguousarray(cells[:, 1])
+    sizes = [len(c) for c in cell_sets]
+    starts = np.cumsum([0] + sizes[:-1])
+    # numpy adds the J rows of a one-column block pairwise (from eight rows
+    # on) but those of a wider block one after another; a one-cell set's
+    # column is summed alone so it keeps the rounding it has on its own.
+    lone = [int(k) for k, n in zip(starts, sizes) if n == 1]
 
     def minima(flat):
         pos = np.asarray(flat, dtype=float).reshape(-1, 2)
-        out = np.empty(m)
-        for i, c in enumerate(cell_sets):
-            d2 = (pos[:, 0, None] - c[None, :, 0]) ** 2 + (
-                pos[:, 1, None] - c[None, :, 1]
-            ) ** 2
-            np.maximum(d2, min_sep2, out=d2)
-            out[i] = (coef[:, None] / d2).sum(axis=0).min()
-        return out
+        d2 = np.subtract.outer(pos[:, 0], cx)
+        d2 *= d2
+        dy = np.subtract.outer(pos[:, 1], cy)
+        dy *= dy
+        d2 += dy
+        np.maximum(d2, min_sep2, out=d2)
+        np.divide(coef, d2, out=d2)
+        density = d2.sum(axis=0)
+        for k in lone:
+            density[k] = d2[:, k].sum()
+        return np.minimum.reduceat(density, starts)
 
     return minima
 

@@ -46,6 +46,37 @@ def oracle_interval_distance(new_values, old_values, mode):
     return sum(nonzero) / (len(dis) - z), z
 
 
+def reference_relative_distances(new_values, old_values):
+    """Relative distances as one (K, K', M) broadcast with reductions over
+    the objective axis: the form the per-objective kernel replaced, which
+    it must match byte for byte."""
+    new = np.asarray(new_values, dtype=float)[:, None, :]
+    old = np.asarray(old_values, dtype=float)[None, :, :]
+    dom = (new >= old).all(axis=-1) & (new > old).any(axis=-1)
+    diffs = new - old
+    dist = np.where(dom, np.sqrt((diffs * diffs).sum(axis=2)), np.inf).min(axis=1)
+    dist[~dom.any(axis=1)] = 0.0
+    return dist
+
+
+def reference_objective(scenario, flat):
+    """The joint objective as one (J, C_i) pass per region: the form the
+    fused kernel replaced, which it must match byte for byte."""
+    radar = scenario.radar
+    coef = radar.transmit_powers * radar.gains / (4.0 * math.pi)
+    min_sep2 = scenario.min_separation * scenario.min_separation
+    pos = np.asarray(flat, dtype=float).reshape(-1, 2)
+    out = np.empty(scenario.n_regions)
+    for i, region in enumerate(scenario.regions):
+        c = region.cells
+        d2 = (pos[:, 0, None] - c[None, :, 0]) ** 2 + (
+            pos[:, 1, None] - c[None, :, 1]
+        ) ** 2
+        np.maximum(d2, min_sep2, out=d2)
+        out[i] = (coef[:, None] / d2).sum(axis=0).min()
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

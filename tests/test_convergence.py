@@ -9,6 +9,7 @@ from conftest import (
     oracle_dominated_set,
     oracle_interval_distance,
     oracle_relative_distance,
+    reference_relative_distances,
 )
 from mopso_deploy.convergence import (
     ConvergenceConfig,
@@ -80,6 +81,30 @@ class TestRelativeDistance:
                 assert vec[k] == pytest.approx(
                     relative_distance(k, new, old), rel=1e-14
                 )
+
+    def test_objective_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            relative_distances(front([(1, 2, 3)]), front([(0, 1)]))
+        with pytest.raises(ValueError, match="mismatch"):
+            relative_distances(front([(1, 2)]), front([(0, 1, 2)]))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 5]),
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.sampled_from([0, 1, 3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_broadcast_reference(self, seed, m, k_new, k_old, decimals):
+        # rounding forces ties in single objectives and whole vectors; the
+        # scale moves the squares off exactly representable values
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-6, 7)
+        old = np.round(rng.normal(size=(k_old, m)), decimals) * scale
+        new = np.round(rng.normal(0.5, 1.0, size=(k_new, m)), decimals) * scale
+        got = relative_distances(front(new, 5), front(old, 0))
+        assert got.tobytes() == reference_relative_distances(new, old).tobytes()
 
 
 class TestIntervalDistance:

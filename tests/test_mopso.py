@@ -9,6 +9,7 @@ from mopso_deploy.mopso import (
     ParetoArchive,
     Swarm,
     crowding_distances,
+    dominance,
     dominates,
     init_swarm,
     pareto_filter,
@@ -62,6 +63,25 @@ class TestDominates:
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=5))
     def test_irreflexive(self, a):
         assert not dominates(a, a)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_mask_matches_oracle_on_caller_shapes(self, rng, m):
+        # the shapes of dominates/insert (M,)-(K, M), insert (K, M)-(M,) and
+        # pareto_filter/relative_distances (K, 1, M)-(1, K', M); integer
+        # values force ties
+        for _ in range(20):
+            a = rng.integers(0, 3, size=(12, m)).astype(float)
+            b = rng.integers(0, 3, size=(9, m)).astype(float)
+            point = b[0]
+            assert dominance(point, a).tolist() == [
+                oracle_dominates(point, row) for row in a
+            ]
+            assert dominance(a, point).tolist() == [
+                oracle_dominates(row, point) for row in a
+            ]
+            assert dominance(a[:, None, :], b[None, :, :]).tolist() == [
+                [oracle_dominates(x, y) for y in b] for x in a
+            ]
 
 
 class TestParetoFilter:
@@ -218,6 +238,23 @@ class TestArchive:
         crowd = dict(zip(map(tuple, archive.values().tolist()), archive.crowding))
         assert crowd[(1.0, 1.0)] == pytest.approx(2.0)
         assert crowd[(0.0, 2.0)] == np.inf
+
+    @pytest.mark.parametrize(
+        "bad", [(np.nan, 0.5), (np.inf, 0.0), (0.5, -np.inf)], ids=["nan", "+inf", "-inf"]
+    )
+    def test_non_finite_candidate_rejected(self, bad):
+        archive = ParetoArchive()
+        archive.insert([0.0], (1.0, 1.0))
+        archive.insert([1.0], (0.0, 2.0))
+        before = (archive.values(), archive.positions(), archive.crowding)
+        with pytest.raises(ValueError, match="inf|nan"):
+            archive.insert([2.0], bad)
+        for kept, now in zip(
+            before, (archive.values(), archive.positions(), archive.crowding)
+        ):
+            assert kept.tobytes() == now.tobytes()
+        with pytest.raises(ValueError):
+            ParetoArchive().insert([2.0], bad)
 
     @given(
         st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40),

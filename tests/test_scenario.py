@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_objective
 from mopso_deploy.scenario import (
     InterferenceRegion,
     RadarParams,
@@ -198,6 +199,39 @@ class TestJointObjective:
             assert objective(layout.ravel()) == pytest.approx(
                 joint_objective(layout, sc).tolist(), rel=1e-14
             )
+
+    @pytest.mark.parametrize("j", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "grids", [[(20, 20)], [(1, 1), (3, 5)], [(3, 5), (1, 1), (20, 20)]]
+    )
+    def test_make_objective_bytes_equal_per_region_reference(self, rng, j, grids):
+        # unequal grids give reduceat segments of 1, 15 and 400 cells
+        regions = tuple(
+            InterferenceRegion.from_grid(
+                i + 1, Rectangle(2000.0 * i, 2000.0 * i + 1500.0, 0.0, 900.0), nx, ny
+            )
+            for i, (nx, ny) in enumerate(grids)
+        )
+        sc = Scenario(
+            Rectangle(-1000.0, 8000.0, -1000.0, 2000.0),
+            regions,
+            RadarParams(rng.uniform(1e3, 2e4, j), rng.uniform(1.0, 1e4, j)),
+            min_separation=25.0,
+        )
+        objective = make_objective(sc)
+        layouts = [rng.uniform(-1000.0, 8000.0, (j, 2)) for _ in range(50)]
+        layouts[0][0] = regions[-1].cells[0]  # on a cell centre: the floor binds
+        for layout in layouts:
+            got = objective(layout.ravel())
+            assert got.tobytes() == reference_objective(sc, layout.ravel()).tobytes()
+
+    def test_result_not_overwritten_by_next_call(self, rng):
+        objective = make_objective(default_scenario(nx=5, ny=5))
+        first = objective(rng.uniform(0, 70000, 16))
+        kept = first.copy()
+        second = objective(rng.uniform(0, 70000, 16))
+        assert first.tobytes() == kept.tobytes()
+        assert second is not first
 
     def test_values_positive_finite(self, rng):
         sc = default_scenario(nx=5, ny=5)
