@@ -44,7 +44,7 @@ def _apply_overrides(cfg, args):
         conv = replace(conv, cadence=args.cadence.replace("-", "_").replace(
             "every_iter", "every_iteration"))
     cfg = replace(cfg, convergence=conv)
-    if getattr(args, "trials", None):
+    if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, trials=args.trials)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, base_seed=args.seed)

@@ -26,16 +26,21 @@ CADENCES = ("every_h", "every_iteration")
 
 @dataclass(frozen=True)
 class FrontSnapshot:
-    """Objective-space image of the archive at one iteration."""
+    """Image of the archive at one iteration: objective values and, when
+    given, the row-aligned positions."""
 
     iteration: int
     values: np.ndarray  # (K, M)
+    positions: np.ndarray | None = None  # (K, D)
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
         if vals.shape[0] < 1:
             raise ValueError("a front snapshot needs at least one point")
         object.__setattr__(self, "values", vals)
+        if self.positions is not None:
+            pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
+            object.__setattr__(self, "positions", pos)
 
     @property
     def size(self):
@@ -170,15 +175,15 @@ class ConvergenceMonitor:
     Feed ``observe(t, front_values)`` once per iteration (and once with
     t=0 for the initial archive). Keeps only the snapshots needed for
     pending front comparisons; the full aggregate trace is retained for
-    export.
+    export. ``STOP`` means the threshold held; the iteration cap is the
+    caller's, so a run that ends at its cap never saw ``STOP``.
     """
 
     CONTINUE = "continue"
     STOP = "stop"
 
-    def __init__(self, cfg, max_iterations=None):
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.max_iterations = max_iterations
         self.trace = DistanceTrace()
         self._snapshots = {}  # iteration -> FrontSnapshot
         self._resolved_threshold = (
@@ -206,7 +211,8 @@ class ConvergenceMonitor:
         )
 
     def observe(self, t, front_values):
-        """Record the archive image at iteration t; returns CONTINUE or STOP."""
+        """Record the archive image at iteration t; returns STOP iff
+        ``should_stop`` holds at t, else CONTINUE."""
         snap = FrontSnapshot(t, np.asarray(front_values, dtype=float))
         self._snapshots[t] = snap
         h = self.cfg.step
@@ -232,6 +238,4 @@ class ConvergenceMonitor:
         # drop snapshots too old to be compared against again
         for it in [it for it in self._snapshots if it <= t - h]:
             del self._snapshots[it]
-        if self.max_iterations is not None and t >= self.max_iterations:
-            decision = self.STOP
         return decision

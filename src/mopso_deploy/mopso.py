@@ -159,7 +159,8 @@ class ParetoArchive:
 
         A candidate with a NaN or infinite objective raises ``ValueError``
         and leaves the archive unchanged: no member could ever dominate a
-        NaN, so it would stay for good.
+        NaN, so it would stay for good. So does an eviction tie without
+        ``rng``: every draw comes from the caller's Generator.
         """
         value = np.asarray(value, dtype=float)
         position = np.asarray(position, dtype=float)
@@ -173,20 +174,20 @@ class ParetoArchive:
         if dominance(self._values, value).any():
             return False  # dominated by a member
         kept = ~dominance(value, self._values)
-        self._set(
-            np.concatenate([self._values[kept], value[None]]),
-            np.concatenate([self._positions[kept], position[None]]),
-        )
-        if self.capacity is not None and len(self) > self.capacity:
-            minimal = np.flatnonzero(self.crowding == self.crowding.min())
+        values = np.concatenate([self._values[kept], value[None]])
+        positions = np.concatenate([self._positions[kept], position[None]])
+        if self.capacity is not None and len(values) > self.capacity:
+            crowding = crowding_distances(values)
+            minimal = np.flatnonzero(crowding == crowding.min())
             if minimal.size > 1:
                 if rng is None:
-                    rng = np.random.default_rng()
+                    raise ValueError("an eviction tie needs the caller's rng")
                 evict = int(rng.choice(minimal))
             else:
                 evict = int(minimal[0])
-            kept = np.arange(len(self)) != evict
-            self._set(self._values[kept], self._positions[kept])
+            kept = np.arange(len(values)) != evict
+            values, positions = values[kept], positions[kept]
+        self._set(values, positions)
         return True
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .convergence import ConvergenceConfig, ConvergenceMonitor, MODES
+from .convergence import ConvergenceConfig, ConvergenceMonitor, FrontSnapshot, MODES
 from .mopso import MopsoConfig, init_swarm, pareto_filter, step
 from .scenario import Scenario, ScenarioError, load_scenario, make_objective
 
@@ -42,7 +42,6 @@ class ExperimentConfig:
     base_seed: int = 0
     snapshot_iterations: tuple = DEFAULT_SNAPSHOTS
     output_dir: str = "out"
-    anchors: tuple | None = None  # objective-1 anchor values; None = percentiles
     halt_on_stop: bool = True
 
     def __post_init__(self):
@@ -60,26 +59,29 @@ class ExperimentConfig:
 
 
 @dataclass
-class FrontRecord:
-    """Archive image at one iteration: objective values and positions."""
-
-    iteration: int
-    values: np.ndarray  # (K, M)
-    positions: np.ndarray  # (K, 2J)
-
-
-@dataclass
 class RunResult:
+    """One run's fronts (``FrontSnapshot``s with positions) and trace.
+
+    ``stop_front`` is the front at the first iteration where the stopping
+    rule held, or ``final_front`` itself when it never held.
+    """
+
     seed: int
-    stop_iteration: int
-    iterations_run: int
-    final_front: FrontRecord
-    snapshots: dict  # iteration -> FrontRecord
-    stop_front: FrontRecord | None
+    final_front: FrontSnapshot
+    snapshots: dict  # iteration -> FrontSnapshot
+    stop_front: FrontSnapshot
     trace: list  # of convergence.TraceRecord
-    effective_threshold: float
+    effective_threshold: float | None  # None: relative threshold never resolved
     wall_time: float
-    all_fronts: list | None = None  # per-iteration FrontRecord when requested
+    all_fronts: list | None = None  # per-iteration FrontSnapshot when requested
+
+    @property
+    def stop_iteration(self):
+        return self.stop_front.iteration
+
+    @property
+    def iterations_run(self):
+        return self.final_front.iteration
 
 
 def _section(doc, key, cls=dict):
@@ -91,16 +93,35 @@ def _section(doc, key, cls=dict):
     return value
 
 
-def _build(cls, obj, context):
-    try:
-        return cls(**obj)
-    except TypeError:
-        import inspect
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
-        allowed = set(inspect.signature(cls).parameters)
-        unknown = set(obj) - allowed
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{context}'") from None
-    except ValueError as exc:
+
+def _check_types(cls, obj):
+    """Raise ValueError unless every int field of ``cls`` set in ``obj`` is
+    a JSON integer and every bool field a JSON boolean.
+
+    Python's int() and bool() would accept 2.5 or "false"; the annotations
+    are strings (postponed evaluation), ``"int | None"`` also admits null.
+    """
+    for f in fields(cls):
+        if f.name not in obj or (f.type == "int | None" and obj[f.name] is None):
+            continue
+        value = obj[f.name]
+        if f.type in ("int", "int | None") and not _is_int(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
+
+
+def _build(cls, obj, context):
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{context}'")
+    try:
+        _check_types(cls, obj)
+        return cls(**obj)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{context}': {exc}") from None
 
 
@@ -124,29 +145,24 @@ def experiment_from_dict(doc, base_dir="."):
     mopso_cfg = _build(MopsoConfig, _section(doc, "mopso"), "mopso")
     conv_cfg = _build(ConvergenceConfig, _section(doc, "convergence"), "convergence")
 
-    anchors = doc.get("anchors")
-    if anchors is not None:
-        if not isinstance(anchors, list) or not all(
-            isinstance(a, (int, float)) for a in anchors
-        ):
-            raise ConfigError("'anchors' must be a list of numbers")
-        anchors = tuple(float(a) for a in anchors)
-
     try:
+        _check_types(ExperimentConfig, doc)
+        snapshots = tuple(
+            doc.get("snapshot_iterations", [s for s in DEFAULT_SNAPSHOTS
+                                            if s <= mopso_cfg.max_iterations])
+        )
+        if not all(_is_int(s) for s in snapshots):
+            raise ValueError(f"snapshot_iterations must be integers, got {snapshots}")
         return ExperimentConfig(
             scenario_path=scenario_path,
             scenario=scenario,
             mopso=mopso_cfg,
             convergence=conv_cfg,
-            trials=int(doc.get("trials", 1)),
-            base_seed=int(doc.get("base_seed", 0)),
-            snapshot_iterations=tuple(
-                doc.get("snapshot_iterations", [s for s in DEFAULT_SNAPSHOTS
-                                                if s <= mopso_cfg.max_iterations])
-            ),
+            trials=doc.get("trials", 1),
+            base_seed=doc.get("base_seed", 0),
+            snapshot_iterations=snapshots,
             output_dir=str(doc.get("output_dir", "out")),
-            anchors=anchors,
-            halt_on_stop=bool(doc.get("halt_on_stop", True)),
+            halt_on_stop=doc.get("halt_on_stop", True),
         )
     except ConfigError:
         raise
@@ -166,12 +182,6 @@ def load_experiment(path):
     return experiment_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _front_record(iteration, archive):
-    return FrontRecord(
-        iteration=iteration, values=archive.values(), positions=archive.positions()
-    )
-
-
 def run_single(cfg, seed, keep_all_fronts=False):
     """One seeded optimization run with the adaptive stopping monitor.
 
@@ -189,41 +199,33 @@ def run_single(cfg, seed, keep_all_fronts=False):
     objective = make_objective(scenario)
 
     swarm, archive = init_swarm(objective, lower, upper, cfg.mopso, rng)
-    monitor = ConvergenceMonitor(
-        cfg.convergence, max_iterations=cfg.mopso.max_iterations
-    )
+    monitor = ConvergenceMonitor(cfg.convergence)
     monitor.observe(0, archive.values())
 
     snapshots = {}
     all_fronts = [] if keep_all_fronts else None
-    stop_iteration = None
     stop_front = None
-    t = 0
     for t in range(1, cfg.mopso.max_iterations + 1):
         step(swarm, archive, objective, lower, upper, cfg.mopso, rng)
+        front = FrontSnapshot(t, archive.values(), archive.positions())
         if t in cfg.snapshot_iterations:
-            snapshots[t] = _front_record(t, archive)
+            snapshots[t] = front
         if keep_all_fronts:
-            all_fronts.append(_front_record(t, archive))
-        decision = monitor.observe(t, archive.values())
-        if decision == ConvergenceMonitor.STOP and stop_iteration is None:
-            stop_iteration = t
-            stop_front = _front_record(t, archive)
+            all_fronts.append(front)
+        decision = monitor.observe(t, front.values)
+        if decision == ConvergenceMonitor.STOP and stop_front is None:
+            stop_front = front
             if cfg.halt_on_stop:
                 break
-    if stop_iteration is None:
-        stop_iteration = t
-        stop_front = _front_record(t, archive)
 
+    threshold = monitor.effective_threshold
     return RunResult(
         seed=seed,
-        stop_iteration=stop_iteration,
-        iterations_run=t,
-        final_front=_front_record(t, archive),
+        final_front=front,
         snapshots=snapshots,
-        stop_front=stop_front,
+        stop_front=front if stop_front is None else stop_front,
         trace=monitor.trace.records,
-        effective_threshold=float(monitor.effective_threshold),
+        effective_threshold=None if threshold is None else float(threshold),
         wall_time=time.perf_counter() - t0,
         all_fronts=all_fronts,
     )
@@ -345,8 +347,7 @@ def _write_csv(path, header, rows):
 
 def _front_table(front):
     """Header and rows of a front: objective values, then the flat layout."""
-    values = np.atleast_2d(front.values)
-    positions = np.atleast_2d(front.positions)
+    values, positions = front.values, front.positions
     header = [f"f{q + 1}" for q in range(values.shape[1])] + [
         f"{axis}{j + 1}" for j in range(positions.shape[1] // 2) for axis in ("x", "y")
     ]
@@ -421,9 +422,7 @@ def export_run(result, cfg, directory, include_timings=False):
 
     report = None
     if result.final_front.values.shape[1] == 2:
-        report = c_ratio_report(
-            {it: f.values for it, f in fronts.items()}, anchors=cfg.anchors
-        )
+        report = c_ratio_report({it: f.values for it, f in fronts.items()})
         write_c_ratio_csv(os.path.join(directory, "c_ratio.csv"), report)
 
     summary = {

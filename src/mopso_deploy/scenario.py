@@ -58,16 +58,6 @@ class Rectangle:
     def height(self):
         return self.y_max - self.y_min
 
-    def contains(self, points):
-        """Elementwise containment test for an (..., 2) array of points."""
-        p = np.asarray(points, dtype=float)
-        return (
-            (p[..., 0] >= self.x_min)
-            & (p[..., 0] <= self.x_max)
-            & (p[..., 1] >= self.y_min)
-            & (p[..., 1] <= self.y_max)
-        )
-
 
 @dataclass(frozen=True)
 class RadarParams:
@@ -115,29 +105,20 @@ def discretize_region(bounds, nx, ny):
 
 @dataclass(frozen=True)
 class InterferenceRegion:
-    """A rectangle discretized into resolution-cell centers."""
+    """A rectangle discretized into resolution-cell centers.
 
-    index: int
+    ``cells`` is ``discretize_region(bounds, nx, ny)``, computed here.
+    """
+
     bounds: Rectangle
     nx: int
     ny: int
-    cells: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_grid(cls, index, bounds, nx, ny):
-        cells = discretize_region(bounds, nx, ny)
-        return cls(index=index, bounds=bounds, nx=nx, ny=ny, cells=cells)
+    cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=float)
-        if cells.ndim != 2 or cells.shape != (self.nx * self.ny, 2):
-            raise ScenarioError(
-                f"region {self.index}: expected {self.nx * self.ny} cells, "
-                f"got shape {cells.shape}"
-            )
-        if not np.all(self.bounds.contains(cells)):
-            raise ScenarioError(f"region {self.index}: cell centers outside bounds")
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(
+            self, "cells", discretize_region(self.bounds, self.nx, self.ny)
+        )
 
     @property
     def n_cells(self):
@@ -146,7 +127,10 @@ class InterferenceRegion:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Deployment region, interference regions, and radar parameters."""
+    """Deployment region, interference regions, and radar parameters.
+
+    Objective q is region q, in the order ``regions`` is given.
+    """
 
     deployment_region: Rectangle
     regions: tuple
@@ -157,17 +141,9 @@ class Scenario:
         regions = tuple(self.regions)
         if len(regions) < 1:
             raise ScenarioError("scenario needs at least one interference region")
-        indices = sorted(r.index for r in regions)
-        if indices != list(range(1, len(regions) + 1)):
-            raise ScenarioError(
-                f"region indices must be 1..{len(regions)} without duplicates, "
-                f"got {indices}"
-            )
         if not self.min_separation > 0:
             raise ScenarioError("min_separation must be > 0")
-        object.__setattr__(
-            self, "regions", tuple(sorted(regions, key=lambda r: r.index))
-        )
+        object.__setattr__(self, "regions", regions)
 
     @property
     def n_regions(self):
@@ -247,7 +223,7 @@ def region_objective(layout, region, radar, min_separation):
 
 
 def joint_objective(layout, scenario):
-    """Objective vector: one region minimum per region, in index order."""
+    """Objective vector: one region minimum per region, in scenario order."""
     return make_objective(scenario)(_as_layout(layout, scenario.radar))
 
 
@@ -335,7 +311,7 @@ def scenario_from_dict(doc):
         grid = robj.get("grid", {"nx": 20, "ny": 20})
         _reject_unknown(grid, {"nx", "ny"}, f"{ctx}.grid")
         nx, ny = int(grid.get("nx", 20)), int(grid.get("ny", 20))
-        regions.append(InterferenceRegion.from_grid(i + 1, bounds, nx, ny))
+        regions.append(InterferenceRegion(bounds, nx, ny))
 
     radar_obj = doc["radar"]
     if not isinstance(radar_obj, dict):
@@ -382,11 +358,11 @@ def default_scenario(nx=20, ny=20):
     40 dB gains, and a 100 m separation floor.
     """
     deployment = Rectangle(0.0, 70_000.0, 0.0, 70_000.0)
-    region_a = InterferenceRegion.from_grid(
-        1, Rectangle(10_000.0, 25_000.0, 40_000.0, 55_000.0), nx, ny
+    region_a = InterferenceRegion(
+        Rectangle(10_000.0, 25_000.0, 40_000.0, 55_000.0), nx, ny
     )
-    region_b = InterferenceRegion.from_grid(
-        2, Rectangle(45_000.0, 60_000.0, 10_000.0, 25_000.0), nx, ny
+    region_b = InterferenceRegion(
+        Rectangle(45_000.0, 60_000.0, 10_000.0, 25_000.0), nx, ny
     )
     radar = RadarParams(
         transmit_powers=np.full(8, 15_000.0),

@@ -236,14 +236,6 @@ class TestMonitor:
             monitor.observe(t, [(1.0, 1.0)])
         assert [r.iteration for r in monitor.trace.records] == list(range(5, 13))
 
-    def test_max_iterations_forces_stop(self):
-        cfg = ConvergenceConfig(step=5, threshold=0.0)
-        monitor = ConvergenceMonitor(cfg, max_iterations=7)
-        moving = lambda t: [(1.0 + t, 2.0 + 0.5 * t)]
-        for t in range(0, 7):
-            assert monitor.observe(t, moving(t)) == ConvergenceMonitor.CONTINUE
-        assert monitor.observe(7, moving(7)) == ConvergenceMonitor.STOP
-
     def test_relative_threshold_resolution(self):
         cfg = ConvergenceConfig(step=1, relative_threshold=0.5)
         monitor = ConvergenceMonitor(cfg)

@@ -218,6 +218,19 @@ class TestArchive:
         got = sorted(map(tuple, archive.values().tolist()))
         assert got == [(0.0, 2.0), (2.0, 0.0)]
 
+    def test_eviction_tie_without_rng_rejected(self):
+        archive = ParetoArchive(capacity=3)
+        for n, value in enumerate([(0.0, 3.0), (1.0, 2.0), (3.0, 0.0)]):
+            archive.insert([float(n)], value)
+        before = (archive.values(), archive.positions(), archive.crowding)
+        # (1, 2) and (2, 1) both have crowding 4/3, the least of the four
+        with pytest.raises(ValueError, match="rng"):
+            archive.insert([3.0], (2.0, 1.0))
+        for kept, now in zip(
+            before, (archive.values(), archive.positions(), archive.crowding)
+        ):
+            assert kept.tobytes() == now.tobytes()
+
     def test_mutual_non_domination_random(self, rng):
         archive = ParetoArchive()
         for _ in range(300):

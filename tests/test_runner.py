@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from mopso_deploy.cli import main
+from mopso_deploy.convergence import FrontSnapshot
 from mopso_deploy.runner import (
     ConfigError,
-    FrontRecord,
     c_ratio_report,
     default_anchors,
     experiment_from_dict,
@@ -168,6 +168,16 @@ class TestRunSingle:
             a.final_front.values, b.final_front.values
         )
 
+    def test_cap_without_stop(self, config_dir):
+        # step 20 of 30 iterations: one aggregate (t=20), none to compare
+        doc = tiny_experiment_doc()
+        doc["convergence"]["step"] = 20
+        cfg = experiment_from_dict(doc, base_dir=str(config_dir))
+        result = run_single(cfg, seed=3)
+        cap = cfg.mopso.max_iterations
+        assert result.stop_iteration == result.iterations_run == cap
+        assert result.stop_front is result.final_front
+
     def test_halt_on_stop_false_runs_to_cap(self, config_dir):
         doc = tiny_experiment_doc(halt_on_stop=False)
         doc["convergence"]["threshold"] = math.inf
@@ -231,7 +241,7 @@ class TestCRatio:
 
 class TestExport:
     def test_front_csv_round_trip(self, tmp_path, rng):
-        front = FrontRecord(
+        front = FrontSnapshot(
             iteration=7,
             values=rng.uniform(size=(6, 2)),
             positions=rng.uniform(0, 1000, size=(6, 4)),
@@ -350,13 +360,15 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "knob, value",
-        [("rng_seed", 0), ("r_per_dimension", False),
-         ("leader_selection", "tournament")],
+        "section, knob, value",
+        [("mopso", "rng_seed", 0), ("mopso", "r_per_dimension", False),
+         ("mopso", "leader_selection", "tournament"), (None, "anchors", [1.0])],
+        ids=["rng_seed-0", "r_per_dimension-False", "leader_selection-tournament",
+             "top_level-anchors"],
     )
-    def test_removed_mopso_knob_exit_2(self, config_dir, capsys, knob, value):
+    def test_removed_mopso_knob_exit_2(self, config_dir, capsys, section, knob, value):
         doc = tiny_experiment_doc()
-        doc["mopso"][knob] = value
+        (doc[section] if section else doc)[knob] = value
         path = config_dir / "old.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 2
@@ -367,6 +379,43 @@ class TestCli:
         code = main(["run", "--config", str(write_experiment(config_dir, trials="x"))])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [(None, "halt_on_stop", "false"), ("mopso", "swarm_size", "30"),
+         ("convergence", "threshold", "0.1"), ("mopso", "swarm_size", 30.5),
+         ("mopso", "max_iterations", 30.0), ("mopso", "archive_capacity", 10.5),
+         ("convergence", "step", 2.5), ("convergence", "normalized", "false"),
+         (None, "trials", 2.5), (None, "base_seed", 7.5),
+         (None, "snapshot_iterations", [5, 10.5])],
+    )
+    def test_wrong_typed_value_exit_2(self, config_dir, capsys, section, key, value):
+        doc = tiny_experiment_doc()
+        (doc[section] if section else doc)[key] = value
+        path = config_dir / "typed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["message"].startswith("invalid")
+        assert "unknown" not in err["message"]
+
+    def test_zero_trials_override_exit_2(self, config_dir, capsys):
+        path = write_experiment(config_dir)
+        assert main(["mc", "--config", str(path), "--trials", "0"]) == 2
+        assert "trials" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_unresolved_relative_threshold_exports_null(self, config_dir, tmp_path):
+        # the cap (4) comes before the first aggregate (t = step = 5)
+        doc = tiny_experiment_doc(snapshot_iterations=[4])
+        doc["mopso"]["max_iterations"] = 4
+        doc["convergence"] = {"step": 5, "relative_threshold": 0.001}
+        path = config_dir / "short.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "short"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["effective_threshold"] is None
+        assert summary["iterations_run"] == summary["stop_iteration"] == 4
 
     def test_internal_value_error_exit_1(self, config_dir, monkeypatch, capsys):
         def broken(cfg, seed):

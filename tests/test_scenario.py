@@ -55,7 +55,9 @@ class TestDiscretize:
         bounds = Rectangle(-3.0, 5.0, 2.0, 9.0)
         cells = discretize_region(bounds, 7, 4)
         assert cells.shape == (28, 2)
-        assert bounds.contains(cells).all()
+        x, y = cells[:, 0], cells[:, 1]
+        assert ((bounds.x_min <= x) & (x <= bounds.x_max)).all()
+        assert ((bounds.y_min <= y) & (y <= bounds.y_max)).all()
 
 
 class TestPowerDensity:
@@ -87,14 +89,14 @@ class TestPowerDensity:
 
 class TestRegionObjective:
     def test_single_cell_equals_power_density(self):
-        region = InterferenceRegion.from_grid(1, UNIT, 1, 1)
+        region = InterferenceRegion(UNIT, 1, 1)
         radar = single_radar()
         assert region_objective([[3, 3]], region, radar, 0.1) == pytest.approx(
             power_density([[3, 3]], (0.5, 0.5), radar, 0.1)
         )
 
     def test_symmetric_grid_ties(self):
-        region = InterferenceRegion.from_grid(1, UNIT, 2, 2)
+        region = InterferenceRegion(UNIT, 2, 2)
         radar = single_radar()
         val = region_objective([[0.5, 0.5]], region, radar, 0.01)
         densities = [
@@ -103,7 +105,7 @@ class TestRegionObjective:
         assert densities == pytest.approx([val] * 4)
 
     def test_outside_antenna_hits_farthest_cell(self):
-        region = InterferenceRegion.from_grid(1, UNIT, 3, 3)
+        region = InterferenceRegion(UNIT, 3, 3)
         radar = single_radar()
         antenna = np.array([[10.0, 10.0]])
         got = region_objective(antenna, region, radar, 0.1)
@@ -115,7 +117,7 @@ class TestRegionObjective:
         assert got == power_density(antenna, tuple(farthest), radar, 0.1)
 
     def test_brute_force_equivalence_random(self, rng):
-        region = InterferenceRegion.from_grid(1, Rectangle(0, 100, 0, 50), 6, 5)
+        region = InterferenceRegion(Rectangle(0, 100, 0, 50), 6, 5)
         radar = RadarParams(rng.uniform(1, 10, 4), rng.uniform(1, 5, 4))
         for _ in range(25):
             layout = rng.uniform(-50, 150, (4, 2))
@@ -136,7 +138,7 @@ class TestJointObjective:
     def test_single_region(self):
         sc = Scenario(
             deployment_region=Rectangle(0, 10, 0, 10),
-            regions=(InterferenceRegion.from_grid(1, Rectangle(2, 4, 2, 4), 2, 2),),
+            regions=(InterferenceRegion(Rectangle(2, 4, 2, 4), 2, 2),),
             radar=single_radar(),
             min_separation=0.1,
         )
@@ -150,14 +152,26 @@ class TestJointObjective:
         sc = Scenario(
             deployment_region=Rectangle(0, 10, 0, 10),
             regions=(
-                InterferenceRegion.from_grid(1, Rectangle(1, 3, 4, 6), 3, 3),
-                InterferenceRegion.from_grid(2, Rectangle(7, 9, 4, 6), 3, 3),
+                InterferenceRegion(Rectangle(1, 3, 4, 6), 3, 3),
+                InterferenceRegion(Rectangle(7, 9, 4, 6), 3, 3),
             ),
             radar=RadarParams(np.array([2.0, 2.0]), np.array([1.0, 1.0])),
             min_separation=0.1,
         )
         vec = joint_objective([[4.0, 5.0], [6.0, 5.0]], sc)
         assert vec[0] == pytest.approx(vec[1], rel=1e-12)
+
+    def test_regions_evaluated_in_given_order(self):
+        near = InterferenceRegion(Rectangle(1, 3, 4, 6), 3, 3)
+        far = InterferenceRegion(Rectangle(7, 9, 1, 2), 2, 2)
+
+        def objective(regions):
+            sc = Scenario(Rectangle(0, 10, 0, 10), regions, single_radar(), 0.1)
+            return joint_objective([[2.0, 5.0]], sc).tolist()
+
+        forward = objective((near, far))
+        assert forward[0] > forward[1]
+        assert objective((far, near)) == forward[::-1]
 
     def test_antenna_permutation_invariance(self, rng):
         sc = default_scenario(nx=4, ny=4)
@@ -207,8 +221,8 @@ class TestJointObjective:
     def test_make_objective_bytes_equal_per_region_reference(self, rng, j, grids):
         # unequal grids give reduceat segments of 1, 15 and 400 cells
         regions = tuple(
-            InterferenceRegion.from_grid(
-                i + 1, Rectangle(2000.0 * i, 2000.0 * i + 1500.0, 0.0, 900.0), nx, ny
+            InterferenceRegion(
+                Rectangle(2000.0 * i, 2000.0 * i + 1500.0, 0.0, 900.0), nx, ny
             )
             for i, (nx, ny) in enumerate(grids)
         )
@@ -249,13 +263,8 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             RadarParams(np.array([1.0]), np.array([-1.0]))
 
-    def test_region_index_gap(self):
-        region = InterferenceRegion.from_grid(2, UNIT, 1, 1)
-        with pytest.raises(ScenarioError, match="indices"):
-            Scenario(Rectangle(0, 10, 0, 10), (region,), single_radar(), 0.1)
-
     def test_zero_min_separation(self):
-        region = InterferenceRegion.from_grid(1, UNIT, 1, 1)
+        region = InterferenceRegion(UNIT, 1, 1)
         with pytest.raises(ScenarioError, match="min_separation"):
             Scenario(Rectangle(0, 10, 0, 10), (region,), single_radar(), 0.0)
 
