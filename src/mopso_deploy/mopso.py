@@ -11,7 +11,10 @@ IEEE TEVC 8(3), 2004; crowding distance from NSGA-II).
 
 State is array-backed: row i of every ``Swarm`` array belongs to
 particle i, and the archive keeps row-aligned value, position and
-crowding arrays.
+crowding arrays. ``step`` keeps the asynchronous per-particle update
+(each leader is drawn from the archive as the previous particle left
+it) but moves runs of particles between archive changes with one set of
+array operations.
 
 Determinism contract: every stochastic draw flows from the single
 ``numpy.random.Generator`` passed in, so identical (seed, config,
@@ -20,6 +23,7 @@ objective) reproduces the full trajectory bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +67,6 @@ def dominance(a, b):
         ge &= a[..., q] >= b[..., q]
         gt |= a[..., q] > b[..., q]
     return ge & gt
-
-
-def dominates(a, b):
-    """True iff a >= b everywhere and a > b somewhere (maximization)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return bool(dominance(a, b))
 
 
 def pareto_filter(values):
@@ -154,25 +151,37 @@ class ParetoArchive:
         self._positions = positions
         self.crowding = crowding_distances(values)
 
+    def admits(self, value):
+        """True iff no member dominates ``value``, the test ``insert`` applies.
+
+        A NaN or infinite objective raises ``ValueError``: no member could
+        ever dominate a NaN, so it would stay for good.
+        """
+        value = np.asarray(value, dtype=float)
+        # a Python loop over M values costs less than a numpy reduction
+        if not all(map(math.isfinite, value.ravel().tolist())):
+            raise ValueError(f"non-finite archive candidate value {value.tolist()}")
+        if not len(self):
+            return True
+        if self._values.shape[1] != value.size:
+            raise ValueError("candidate objective length mismatch")
+        return not dominance(self._values, value).any()
+
     def insert(self, position, value, rng=None):
         """Insert a candidate; returns True if it entered the archive.
 
-        A candidate with a NaN or infinite objective raises ``ValueError``
-        and leaves the archive unchanged: no member could ever dominate a
-        NaN, so it would stay for good. So does an eviction tie without
-        ``rng``: every draw comes from the caller's Generator.
+        A candidate some member dominates is rejected. A NaN or infinite
+        one raises ``ValueError`` (see ``admits``) and leaves the archive
+        unchanged; so does an eviction tie without ``rng``: every draw
+        comes from the caller's Generator.
         """
         value = np.asarray(value, dtype=float)
         position = np.asarray(position, dtype=float)
-        if not np.isfinite(value).all():
-            raise ValueError(f"non-finite archive candidate value {value.tolist()}")
+        if not self.admits(value):
+            return False  # dominated by a member
         if not len(self):
             self._values = np.empty((0, value.size))
             self._positions = np.empty((0, position.size))
-        elif self._values.shape[1] != value.size:
-            raise ValueError("candidate objective length mismatch")
-        if dominance(self._values, value).any():
-            return False  # dominated by a member
         kept = ~dominance(value, self._values)
         values = np.concatenate([self._values[kept], value[None]])
         positions = np.concatenate([self._positions[kept], position[None]])
@@ -202,7 +211,9 @@ def select_leader(archive, rng):
         raise RuntimeError("cannot select a leader from an empty archive")
     if n == 1:
         return archive._positions[0].copy()
-    i, j = rng.integers(0, n, size=2)
+    # two scalar draws: the stream of integers(0, n, size=2), at a third the cost
+    i = rng.integers(0, n)
+    j = rng.integers(0, n)
     crowd = archive.crowding
     if crowd[i] > crowd[j]:
         k = i
@@ -213,44 +224,48 @@ def select_leader(archive, rng):
     return archive._positions[k].copy()
 
 
-def update_velocity(swarm, i, leader, cfg, rng):
-    """Inertia + cognitive + social update of particle i's velocity.
+def update_velocity(swarm, rows, leaders, r, cfg):
+    """Inertia + cognitive + social velocity of the particles in ``rows``.
 
-    One scalar r1 and r2 per particle per iteration; the result is
-    clamped to v_max, stored, and returned.
+    ``rows`` is a slice of the swarm, ``leaders`` its (n, D) leader
+    positions and ``r`` its (n, 2) draws, r1 then r2 per particle. The
+    result is clamped to v_max and returned; ``swarm`` is not written.
     """
-    r1 = rng.random()
-    r2 = rng.random()
-    x = swarm.position[i]
-    v = (
-        cfg.inertia * swarm.velocity[i]
-        + cfg.c1 * r1 * (swarm.best_position[i] - x)
-        + cfg.c2 * r2 * (leader - x)
-    )
+    x = swarm.position[rows]
+    v = cfg.inertia * swarm.velocity[rows]
+    pull = swarm.best_position[rows] - x
+    pull *= cfg.c1 * r[:, :1]
+    v += pull
+    np.subtract(leaders, x, out=pull)
+    pull *= cfg.c2 * r[:, 1:]
+    v += pull
     np.maximum(v, -cfg.v_max, out=v)
-    return np.minimum(v, cfg.v_max, out=swarm.velocity[i])
+    return np.minimum(v, cfg.v_max, out=v)
 
 
-def update_position(swarm, i, lower, upper):
-    """Move particle i by its velocity, clamp into the box.
+def update_position(swarm, rows, velocity, lower, upper):
+    """New positions of the particles in ``rows``: moved by ``velocity``
+    and clamped into the box; ``swarm`` is not written.
 
-    A clamped coordinate has its velocity component zeroed so particles
-    do not stick to the boundary.
+    A clamped coordinate has its component of ``velocity`` zeroed (in
+    place) so particles do not stick to the boundary.
     """
-    raw = swarm.position[i] + swarm.velocity[i]
+    raw = swarm.position[rows] + velocity
     clamped = np.minimum(np.maximum(raw, lower), upper)
-    swarm.velocity[i, clamped != raw] = 0.0
-    swarm.position[i] = clamped
+    velocity[clamped != raw] = 0.0
     return clamped
 
 
-def update_personal_best(swarm, i, new_value):
-    """Replace particle i's personal best iff the new objective dominates it."""
-    if dominates(new_value, swarm.best_value[i]):
-        swarm.best_position[i] = swarm.position[i]
-        swarm.best_value[i] = new_value
-        return True
-    return False
+def update_personal_best(swarm, rows, values):
+    """Replace the personal best of each particle in ``rows`` whose new
+    objective (a row of ``values``) dominates it; returns how many did."""
+    improved = dominance(values, swarm.best_value[rows])
+    count = int(np.count_nonzero(improved))
+    if count:
+        where = improved[:, None]
+        np.copyto(swarm.best_position[rows], swarm.position[rows], where=where)
+        np.copyto(swarm.best_value[rows], values, where=where)
+    return count
 
 
 def init_swarm(objective, lower, upper, cfg, rng):
@@ -279,18 +294,53 @@ def init_swarm(objective, lower, upper, cfg, rng):
 def step(swarm, archive, objective, lower, upper, cfg, rng):
     """One MOPSO iteration over every particle, in index order.
 
-    Per particle: select leader, update velocity then position, evaluate
-    the objective, update the personal best, offer the new point to the
-    archive. Mutates ``swarm`` and ``archive`` in place and returns them
-    for convenience.
+    Per particle: select leader, draw r1 and r2, update velocity then
+    position, evaluate the objective, update the personal best, offer the
+    new point to the archive. Each leader comes from the archive as the
+    previous particle left it.
+
+    The archive changes only when it admits a candidate, so particles are
+    updated in windows. A window's draws are made against the archive as
+    it is, its moves computed in one set of array operations, and its
+    objectives evaluated in order up to the first candidate the archive
+    admits. The particles up to that one are committed, the generator is
+    put back to its state after that particle's draws, the candidate is
+    inserted, and the next window starts after it. The first window is a
+    third of the swarm, each later one twice the run just committed.
+    Arrays and generator end exactly as a particle-by-particle loop
+    leaves them; if the objective or the archive raises, the window's
+    particles are left as they were. Mutates ``swarm`` and ``archive`` in
+    place and returns them for convenience.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    for i in range(len(swarm)):
-        leader = select_leader(archive, rng)
-        update_velocity(swarm, i, leader, cfg, rng)
-        update_position(swarm, i, lower, upper)
-        value = np.asarray(objective(swarm.position[i]), dtype=float)
-        update_personal_best(swarm, i, value)
-        archive.insert(swarm.position[i], value, rng=rng)
+    n_particles = len(swarm)
+    leaders = np.empty_like(swarm.position)
+    r = np.empty((n_particles, 2))
+    values = np.empty_like(swarm.best_value)
+    states = [None] * n_particles  # generator state after particle i's draws
+    start, width = 0, max(1, n_particles // 3)
+    while start < n_particles:
+        stop = min(n_particles, start + width)
+        for i in range(start, stop):
+            leaders[i] = select_leader(archive, rng)
+            rng.random(out=r[i])
+            states[i] = rng.bit_generator.state
+        window = slice(start, stop)
+        velocity = update_velocity(swarm, window, leaders[window], r[window], cfg)
+        position = update_position(swarm, window, velocity, lower, upper)
+        for k in range(stop - start):
+            values[start + k] = objective(position[k])
+            admitted = archive.admits(values[start + k])
+            if admitted:
+                break
+        done = slice(start, start + k + 1)
+        swarm.velocity[done] = velocity[: k + 1]
+        swarm.position[done] = position[: k + 1]
+        update_personal_best(swarm, done, values[done])
+        if admitted:
+            last = start + k
+            rng.bit_generator.state = states[last]
+            archive.insert(swarm.position[last], values[last], rng=rng)
+        start, width = start + k + 1, 2 * (k + 1)
     return swarm, archive

@@ -98,20 +98,30 @@ def _is_int(value):
 
 
 def _check_types(cls, obj):
-    """Raise ValueError unless every int field of ``cls`` set in ``obj`` is
-    a JSON integer and every bool field a JSON boolean.
+    """Raise ValueError unless every field of ``cls`` set in ``obj`` has its
+    JSON type: an integer for int fields, a number for float fields (an
+    integer is a number, a boolean is neither), true or false for bool
+    fields and a string for str fields.
 
-    Python's int() and bool() would accept 2.5 or "false"; the annotations
-    are strings (postponed evaluation), ``"int | None"`` also admits null.
+    Python's int(), float() and bool() would accept 2.5, true or "false";
+    the annotations are strings (postponed evaluation), and ``"... | None"``
+    also admits null.
     """
     for f in fields(cls):
-        if f.name not in obj or (f.type == "int | None" and obj[f.name] is None):
+        if f.name not in obj:
             continue
         value = obj[f.name]
-        if f.type in ("int", "int | None") and not _is_int(value):
+        kind = f.type.removesuffix(" | None")
+        if kind != f.type and value is None:
+            continue
+        if kind == "int" and not _is_int(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if f.type == "bool" and not isinstance(value, bool):
+        if kind == "float" and not (_is_int(value) or isinstance(value, float)):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
+        if kind == "bool" and not isinstance(value, bool):
             raise ValueError(f"{f.name} must be true or false, got {value!r}")
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a string, got {value!r}")
 
 
 def _build(cls, obj, context):
@@ -161,7 +171,7 @@ def experiment_from_dict(doc, base_dir="."):
             trials=doc.get("trials", 1),
             base_seed=doc.get("base_seed", 0),
             snapshot_iterations=snapshots,
-            output_dir=str(doc.get("output_dir", "out")),
+            output_dir=doc.get("output_dir", "out"),
             halt_on_stop=doc.get("halt_on_stop", True),
         )
     except ConfigError:

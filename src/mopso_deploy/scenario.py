@@ -9,8 +9,10 @@ radar transmit parameters. The objective of a candidate antenna layout
 is, per region, the minimum free-space power density over the region's
 cells; the joint objective stacks one value per region (maximization).
 
-All types are immutable after construction and all operations are pure
-functions, so evaluation is safe from concurrent workers.
+All types are immutable after construction. An objective closure
+(``make_objective``) owns scratch buffers that each call overwrites: it
+is safe to use in several processes, each with its own closure, but must
+not be shared between threads.
 """
 
 from __future__ import annotations
@@ -172,30 +174,41 @@ def _density_minima(cell_sets, radar, min_separation):
     minimum over its cells of the summed free-space power density.
 
     Each antenna contributes P_t * G / (4 pi R^2), with R clamped from
-    below at ``min_separation`` to kill the R->0 pole.
+    below at ``min_separation`` to kill the R->0 pole. The closure owns
+    scratch buffers that every call overwrites: it may be used from one
+    thread at a time. The returned array is fresh on every call.
     """
-    coef = (radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None]
-    min_sep2 = min_separation * min_separation
     # All cell sets side by side, so one (J, C) pass serves every set and
     # reduceat takes each set's minimum over its own column range.
     cells = np.concatenate(cell_sets)
-    cx = np.ascontiguousarray(cells[:, 0])
-    cy = np.ascontiguousarray(cells[:, 1])
     sizes = [len(c) for c in cell_sets]
     starts = np.cumsum([0] + sizes[:-1])
     # numpy adds the J rows of a one-column block pairwise (from eight rows
     # on) but those of a wider block one after another; a one-cell set's
     # column is summed alone so it keeps the rounding it has on its own.
     lone = [int(k) for k, n in zip(starts, sizes) if n == 1]
+    # Every operand tiled once, so each pass below is one ufunc over
+    # contiguous arrays of one shape into a preallocated buffer: broadcasting
+    # a (J, 1) column or a Python float costs more than the arithmetic. The
+    # x and y planes are stacked so that one pass serves both.
+    shape = (radar.n_antennas, len(cells))
+
+    def tile(a, to=shape):
+        return np.ascontiguousarray(np.broadcast_to(a, to))
+
+    coef = tile((radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None])
+    cxy = tile(cells.T[:, None, :], (2,) + shape)
+    floor = tile(min_separation * min_separation)
+    dxy = np.empty((2,) + shape)
+    d2 = dxy[0]
 
     def minima(flat):
         pos = np.asarray(flat, dtype=float).reshape(-1, 2)
-        d2 = np.subtract.outer(pos[:, 0], cx)
-        d2 *= d2
-        dy = np.subtract.outer(pos[:, 1], cy)
-        dy *= dy
-        d2 += dy
-        np.maximum(d2, min_sep2, out=d2)
+        np.copyto(dxy, pos.T[:, :, None])
+        np.subtract(dxy, cxy, out=dxy)
+        np.multiply(dxy, dxy, out=dxy)
+        np.add(dxy[0], dxy[1], out=d2)
+        np.maximum(d2, floor, out=d2)
         np.divide(coef, d2, out=d2)
         density = d2.sum(axis=0)
         for k in lone:
@@ -247,25 +260,36 @@ def _reject_unknown(obj, allowed, context):
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {context}")
 
 
+def _number(value, context):
+    """``value`` as a float if it is a JSON number (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{context} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(value, context):
+    """``value`` if it is a JSON integer (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{context} must be an integer, got {value!r}")
+    return value
+
+
 def _load_rectangle(obj, context):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{context} must be an object")
     _reject_unknown(obj, {"x_min", "x_max", "y_min", "y_max", "unit"}, context)
     try:
         scale = _LENGTH_UNITS[obj.get("unit", "m")]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ScenarioError(
             f"{context}.unit must be one of {sorted(_LENGTH_UNITS)}"
         ) from None
-    try:
-        return Rectangle(
-            x_min=float(obj["x_min"]) * scale,
-            x_max=float(obj["x_max"]) * scale,
-            y_min=float(obj["y_min"]) * scale,
-            y_max=float(obj["y_max"]) * scale,
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"{context} is missing key {exc}") from None
+    coords = {}
+    for key in ("x_min", "x_max", "y_min", "y_max"):
+        if key not in obj:
+            raise ScenarioError(f"{context} is missing key '{key}'")
+        coords[key] = _number(obj[key], f"{context}.{key}") * scale
+    return Rectangle(**coords)
 
 
 def _load_gain(obj, context):
@@ -273,7 +297,7 @@ def _load_gain(obj, context):
         raise ScenarioError(f"{context} must be an object with 'value' and 'unit'")
     _reject_unknown(obj, {"value", "unit"}, context)
     try:
-        value = float(obj["value"])
+        value = _number(obj["value"], f"{context}.value")
         unit = obj["unit"]
     except KeyError as exc:
         raise ScenarioError(f"{context} is missing key {exc}") from None
@@ -308,9 +332,12 @@ def scenario_from_dict(doc):
         if "bounds" not in robj:
             raise ScenarioError(f"{ctx} is missing key 'bounds'")
         bounds = _load_rectangle(robj["bounds"], f"{ctx}.bounds")
-        grid = robj.get("grid", {"nx": 20, "ny": 20})
+        grid = robj.get("grid", {})
+        if not isinstance(grid, dict):
+            raise ScenarioError(f"{ctx}.grid must be an object")
         _reject_unknown(grid, {"nx", "ny"}, f"{ctx}.grid")
-        nx, ny = int(grid.get("nx", 20)), int(grid.get("ny", 20))
+        nx = _count(grid.get("nx", 20), f"{ctx}.grid.nx")
+        ny = _count(grid.get("ny", 20), f"{ctx}.grid.ny")
         regions.append(InterferenceRegion(bounds, nx, ny))
 
     radar_obj = doc["radar"]
@@ -324,18 +351,18 @@ def scenario_from_dict(doc):
         raise ScenarioError(f"radar is missing key {exc}") from None
     if not isinstance(powers, list) or not isinstance(gains_raw, list):
         raise ScenarioError("radar.powers_w and radar.gains must be lists")
-    if any(not (isinstance(p, (int, float)) and p > 0) for p in powers):
+    powers = [_number(p, f"radar.powers_w[{i}]") for i, p in enumerate(powers)]
+    if not all(p > 0 for p in powers):
         raise ScenarioError("radar.powers_w entries must be strictly positive numbers")
     gains = [_load_gain(g, f"radar.gains[{i}]") for i, g in enumerate(gains_raw)]
     radar = RadarParams(transmit_powers=np.array(powers, float), gains=np.array(gains))
 
-    scenario = Scenario(
+    return Scenario(
         deployment_region=deployment,
         regions=tuple(regions),
         radar=radar,
-        min_separation=float(doc["min_separation_m"]),
+        min_separation=_number(doc["min_separation_m"], "min_separation_m"),
     )
-    return scenario
 
 
 def load_scenario(path):

@@ -77,6 +77,53 @@ def reference_objective(scenario, flat):
     return out
 
 
+def reference_select_leader(archive, rng):
+    """Crowding tournament with one size-2 draw, as the windowed step's
+    per-particle predecessor made it."""
+    n = len(archive)
+    if n == 1:
+        return archive.positions()[0]
+    i, j = rng.integers(0, n, size=2)
+    crowd = archive.crowding
+    if crowd[i] > crowd[j]:
+        k = i
+    elif crowd[j] > crowd[i]:
+        k = j
+    else:
+        k = i if rng.random() < 0.5 else j
+    return archive.positions()[k]
+
+
+def reference_step(swarm, archive, objective, lower, upper, cfg, rng):
+    """One MOPSO iteration as a plain per-particle loop: the form the
+    windowed step replaced, whose arrays and generator state it must
+    match byte for byte."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    for i in range(len(swarm)):
+        leader = reference_select_leader(archive, rng)
+        r1 = rng.random()
+        r2 = rng.random()
+        x = swarm.position[i]
+        v = (
+            cfg.inertia * swarm.velocity[i]
+            + cfg.c1 * r1 * (swarm.best_position[i] - x)
+            + cfg.c2 * r2 * (leader - x)
+        )
+        np.maximum(v, -cfg.v_max, out=v)
+        np.minimum(v, cfg.v_max, out=swarm.velocity[i])
+        raw = swarm.position[i] + swarm.velocity[i]
+        clamped = np.minimum(np.maximum(raw, lower), upper)
+        swarm.velocity[i, clamped != raw] = 0.0
+        swarm.position[i] = clamped
+        value = np.asarray(objective(swarm.position[i]), dtype=float)
+        if oracle_dominates(value, swarm.best_value[i]):
+            swarm.best_position[i] = swarm.position[i]
+            swarm.best_value[i] = value
+        archive.insert(swarm.position[i], value, rng=rng)
+    return swarm, archive
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

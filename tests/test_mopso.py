@@ -1,16 +1,22 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_dominates, oracle_pareto_indices
+from conftest import (
+    oracle_dominates,
+    oracle_pareto_indices,
+    reference_select_leader,
+    reference_step,
+)
 from mopso_deploy.mopso import (
     MopsoConfig,
     ParetoArchive,
     Swarm,
     crowding_distances,
     dominance,
-    dominates,
     init_swarm,
     pareto_filter,
     select_leader,
@@ -38,18 +44,18 @@ def make_swarm(position, velocity=None, best=None, best_value=(1.0, 1.0)):
 
 class TestDominates:
     def test_strict_in_one(self):
-        assert dominates((2, 3), (1, 3))
+        assert dominance(np.array([2.0, 3.0]), np.array([1.0, 3.0]))
 
     def test_incomparable_both_ways(self):
-        assert not dominates((2, 3), (3, 2))
-        assert not dominates((3, 2), (2, 3))
+        assert not dominance(np.array([2.0, 3.0]), np.array([3.0, 2.0]))
+        assert not dominance(np.array([3.0, 2.0]), np.array([2.0, 3.0]))
 
     def test_equal_vectors(self):
-        assert not dominates((1, 1), (1, 1))
+        assert not dominance(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            dominates((1, 2), (1, 2, 3))
+            dominance(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
     @given(
         st.lists(st.floats(-100, 100), min_size=2, max_size=5),
@@ -58,17 +64,17 @@ class TestDominates:
     def test_matches_oracle(self, a, b):
         if len(a) != len(b):
             return
-        assert dominates(a, b) == oracle_dominates(a, b)
+        assert dominance(np.array(a), np.array(b)) == oracle_dominates(a, b)
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=5))
     def test_irreflexive(self, a):
-        assert not dominates(a, a)
+        assert not dominance(np.array(a), np.array(a))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_mask_matches_oracle_on_caller_shapes(self, rng, m):
-        # the shapes of dominates/insert (M,)-(K, M), insert (K, M)-(M,) and
-        # pareto_filter/relative_distances (K, 1, M)-(1, K', M); integer
-        # values force ties
+        # the shapes of insert (M,)-(K, M), admits (K, M)-(M,),
+        # update_personal_best (K, M)-(K, M) and pareto_filter/
+        # relative_distances (K, 1, M)-(1, K', M); integer values force ties
         for _ in range(20):
             a = rng.integers(0, 3, size=(12, m)).astype(float)
             b = rng.integers(0, 3, size=(9, m)).astype(float)
@@ -78,6 +84,9 @@ class TestDominates:
             ]
             assert dominance(a, point).tolist() == [
                 oracle_dominates(row, point) for row in a
+            ]
+            assert dominance(a[:9], b).tolist() == [
+                oracle_dominates(x, y) for x, y in zip(a, b)
             ]
             assert dominance(a[:, None, :], b[None, :, :]).tolist() == [
                 [oracle_dominates(x, y) for y in b] for x in a
@@ -136,45 +145,72 @@ class TestCrowding:
         assert (crowd[1:-1] >= 0).all() and np.isfinite(crowd[1:-1]).all()
 
 
+ROW = slice(0, 1)  # the window of a one-particle update
+
+
+def draws(seed=0):
+    """One particle's (r1, r2), as a (1, 2) window of draws."""
+    return np.random.default_rng(seed).random((1, 2))
+
+
 class TestVelocityPosition:
     CFG = MopsoConfig(swarm_size=2, v_max=4.0)
 
     def test_all_zero_coefficients(self):
         cfg = MopsoConfig(swarm_size=2, inertia=0.0, c1=0.0, c2=0.0, v_max=4.0)
         p = make_swarm([1.0, 2.0], velocity=[3.0, -1.0])
-        v = update_velocity(p, 0, p.position[0], cfg, np.random.default_rng(0))
-        assert v == pytest.approx([0.0, 0.0])
+        v = update_velocity(p, ROW, p.position[ROW], draws(), cfg)
+        assert v[0] == pytest.approx([0.0, 0.0])
+        assert p.velocity[0].tolist() == [3.0, -1.0]  # the swarm is not written
 
     def test_pure_inertia_when_attractors_coincide(self):
         cfg = MopsoConfig(swarm_size=2, inertia=0.5, v_max=10.0)
         p = make_swarm([1.0, 2.0], velocity=[2.0, -4.0])
-        v = update_velocity(p, 0, p.position[0], cfg, np.random.default_rng(0))
-        assert v == pytest.approx([1.0, -2.0])
+        v = update_velocity(p, ROW, p.position[ROW], draws(), cfg)
+        assert v[0] == pytest.approx([1.0, -2.0])
 
     def test_clamp_at_boundary(self):
         cfg = MopsoConfig(swarm_size=2, inertia=0.4, c1=0.0, c2=0.0, v_max=4.0)
         p = make_swarm([0.0, 0.0], velocity=[10.0, 0.0])
-        v = update_velocity(p, 0, p.position[0], cfg, np.random.default_rng(0))
-        assert v == pytest.approx([4.0, 0.0])
+        v = update_velocity(p, ROW, p.position[ROW], draws(), cfg)
+        assert v[0] == pytest.approx([4.0, 0.0])
+
+    def test_rows_use_their_own_draws(self):
+        # r1 scales the pull to the personal best, r2 the pull to the leader
+        cfg = MopsoConfig(swarm_size=2, inertia=0.0, c1=1.0, c2=1.0, v_max=10.0)
+        p = make_swarm([[0.0, 0.0], [1.0, 1.0]], best=[[1.0, 0.0], [1.0, 1.0]])
+        leaders = np.array([[0.0, 2.0], [1.0, 3.0]])
+        r = np.array([[0.5, 0.25], [0.75, 0.5]])
+        v = update_velocity(p, slice(0, 2), leaders, r, cfg)
+        assert v.tolist() == [[0.5, 0.5], [0.0, 1.0]]
 
     def test_zero_velocity_keeps_position(self):
         p = make_swarm([1.0, 1.0])
-        update_position(p, 0, np.array([0.0, 0.0]), np.array([10.0, 10.0]))
-        assert p.position[0] == pytest.approx([1.0, 1.0])
+        position = update_position(
+            p, ROW, p.velocity[ROW].copy(), np.array([0.0, 0.0]), np.array([10.0, 10.0])
+        )
+        assert position[0] == pytest.approx([1.0, 1.0])
 
     def test_plain_addition(self):
         p = make_swarm([1.0, 1.0], velocity=[2.0, 3.0])
-        update_position(p, 0, np.array([-100.0, -100.0]), np.array([100.0, 100.0]))
-        assert p.position[0] == pytest.approx([3.0, 4.0])
+        position = update_position(
+            p, ROW, p.velocity[ROW].copy(),
+            np.array([-100.0, -100.0]), np.array([100.0, 100.0]),
+        )
+        assert position[0] == pytest.approx([3.0, 4.0])
+        assert p.position[0].tolist() == [1.0, 1.0]  # the swarm is not written
 
     def test_clamp_zeroes_velocity_component(self):
         # row 1 is clamped; row 0 is another particle and must not move
         p = make_swarm(
             [[5.0, 5.0], [69999.0, 0.0]], velocity=[[1.0, 1.0], [4.0, 0.0]]
         )
-        update_position(p, 1, np.array([0.0, 0.0]), np.array([70000.0, 70000.0]))
-        assert p.position[1] == pytest.approx([70000.0, 0.0])
-        assert p.velocity[1, 0] == 0.0
+        velocity = p.velocity[1:2].copy()
+        position = update_position(
+            p, slice(1, 2), velocity, np.array([0.0, 0.0]), np.array([70000.0, 70000.0])
+        )
+        assert position[0] == pytest.approx([70000.0, 0.0])
+        assert velocity[0, 0] == 0.0
         assert p.position[0].tolist() == [5.0, 5.0]
         assert p.velocity[0].tolist() == [1.0, 1.0]
 
@@ -182,19 +218,29 @@ class TestVelocityPosition:
 class TestPersonalBest:
     def test_dominating_value_replaces(self):
         p = make_swarm([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
-        assert update_personal_best(p, 0, (3.0, 3.0))
+        assert update_personal_best(p, ROW, np.array([[3.0, 3.0]])) == 1
         assert p.best_value[0] == pytest.approx([3.0, 3.0])
         assert p.best_position[0] == pytest.approx([5.0, 5.0])
 
     def test_non_dominated_kept(self):
         p = make_swarm([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
-        assert not update_personal_best(p, 0, (3.0, 1.0))
+        assert update_personal_best(p, ROW, np.array([[3.0, 1.0]])) == 0
         assert p.best_value[0] == pytest.approx([2.0, 2.0])
 
     def test_equal_kept(self):
         p = make_swarm([5.0, 5.0], best=[0.0, 0.0], best_value=(2.0, 2.0))
-        assert not update_personal_best(p, 0, (2.0, 2.0))
+        assert update_personal_best(p, ROW, np.array([[2.0, 2.0]])) == 0
         assert p.best_position[0] == pytest.approx([0.0, 0.0])
+
+    def test_window_replaces_only_dominating_rows(self):
+        p = make_swarm(
+            [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]],
+            best=[[0.0, 0.0]] * 4, best_value=(2.0, 2.0),
+        )
+        new = np.array([[3.0, 2.0], [1.0, 5.0], [2.0, 2.0]])
+        assert update_personal_best(p, slice(1, 4), new) == 1
+        assert p.best_value.tolist() == [[2.0, 2.0], [3.0, 2.0], [2.0, 2.0], [2.0, 2.0]]
+        assert p.best_position.tolist() == [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
 
 
 class TestArchive:
@@ -260,6 +306,8 @@ class TestArchive:
         archive.insert([0.0], (1.0, 1.0))
         archive.insert([1.0], (0.0, 2.0))
         before = (archive.values(), archive.positions(), archive.crowding)
+        with pytest.raises(ValueError, match="non-finite"):
+            archive.admits(bad)  # even when a member dominates it (-inf)
         with pytest.raises(ValueError, match="inf|nan"):
             archive.insert([2.0], bad)
         for kept, now in zip(
@@ -268,6 +316,19 @@ class TestArchive:
             assert kept.tobytes() == now.tobytes()
         with pytest.raises(ValueError):
             ParetoArchive().insert([2.0], bad)
+        with pytest.raises(ValueError):
+            ParetoArchive().admits(bad)
+
+    def test_admits_is_the_insert_test(self, rng):
+        # admits(v) is True exactly when insert(v) accepts; integer values
+        # force ties and duplicates
+        archive = ParetoArchive(capacity=5)
+        assert archive.admits((0.0, 0.0))
+        for n in range(200):
+            value = rng.integers(0, 5, size=2).astype(float)
+            expected = not any(oracle_dominates(v, value) for v in archive.values())
+            assert archive.admits(value) == expected
+            assert archive.insert([float(n)], value, rng=rng) == expected
 
     @given(
         st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40),
@@ -317,6 +378,23 @@ class TestLeaderSelection:
         )
         p_extreme = 1 - (1 / 3) ** 2  # either extreme appears in the pair
         assert wins / n == pytest.approx(p_extreme, abs=0.01)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
+    def test_scalar_draws_keep_size_two_stream(self, n):
+        # two integers(0, n) draws consume the generator exactly as one
+        # integers(0, n, size=2) draw, tie draws included
+        archive = ParetoArchive()
+        for k in range(n):
+            archive.insert([float(k)], (float(k), float(n - k)))
+        for seed in range(5):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(100):
+                assert (
+                    select_leader(archive, got).tobytes()
+                    == reference_select_leader(archive, want).tobytes()
+                )
+                assert got.random() == want.random()
+            assert got.bit_generator.state == want.bit_generator.state
 
     def test_uniform_when_crowding_ties(self):
         archive = ParetoArchive()
@@ -389,3 +467,74 @@ class TestStep:
                     assert not any(
                         oracle_dominates(older, newer) for older in history[t]
                     )
+
+
+def grid_objective(centers, scale):
+    """Closeness to each center, rounded to an integer grid so that tied
+    and duplicate objective vectors are common."""
+
+    def objective(x):
+        return np.round(-((np.asarray(x) - centers) ** 2).sum(axis=1) / scale)
+
+    return objective
+
+
+def assert_same_state(got, want):
+    (swarm, archive, rng), (ref_swarm, ref_archive, ref_rng) = got, want
+    for name in ("position", "velocity", "best_position", "best_value"):
+        assert getattr(swarm, name).tobytes() == getattr(ref_swarm, name).tobytes(), name
+    assert archive.values().tobytes() == ref_archive.values().tobytes()
+    assert archive.positions().tobytes() == ref_archive.positions().tobytes()
+    assert archive.crowding.tobytes() == ref_archive.crowding.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestWindowedStep:
+    LOWER = np.full(3, -5.0)
+    UPPER = np.full(3, 5.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        swarm_size=st.integers(2, 12),
+        m=st.sampled_from([1, 2, 3]),
+        capacity=st.sampled_from([None, 1, 2, 5]),
+        frozen=st.booleans(),
+        v_max=st.sampled_from([0.5, 4.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_particle_loop(self, seed, swarm_size, m, capacity, frozen, v_max):
+        coeff = 0.0 if frozen else 2.0
+        cfg = MopsoConfig(
+            swarm_size=swarm_size, inertia=0.0 if frozen else 0.4, c1=coeff, c2=coeff,
+            v_max=v_max, archive_capacity=capacity,
+        )
+        rng = np.random.default_rng(seed)
+        objective = grid_objective(rng.uniform(-5, 5, (m, 3)), scale=8.0)
+        swarm, archive = init_swarm(objective, self.LOWER, self.UPPER, cfg, rng)
+        got = (swarm, archive, rng)
+        want = copy.deepcopy(got)
+        for _ in range(4):
+            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2])
+            reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
+            assert_same_state(got, want)
+
+    def test_dominated_non_finite_objective_raises(self):
+        # the third particle's candidate has -inf in every objective: every
+        # archive member dominates it, and it must still raise, not be
+        # silently rejected
+        cfg = MopsoConfig(swarm_size=6, v_max=1.0)
+        rng = np.random.default_rng(1)
+        swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        bad = np.array([-np.inf, -np.inf])
+        assert dominance(archive.values(), bad).all()
+        for stepper in (step, reference_step):
+            calls = []
+
+            def objective(x):
+                calls.append(x)
+                return bad if len(calls) == 3 else sphere_objectives(x)
+
+            state = copy.deepcopy((swarm, archive, rng))
+            with pytest.raises(ValueError, match="non-finite"):
+                stepper(*state[:2], objective, self.LOWER, self.UPPER, cfg, state[2])
+            assert len(calls) == 3

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -94,6 +95,19 @@ class TestLoadExperiment:
         assert cfg.snapshot_iterations == (5, 10, 30)
         assert cfg.halt_on_stop is True
         assert cfg.scenario.radar.gains[0] == pytest.approx(10.0)  # 10 dB
+
+    def test_numbers_and_null_where_allowed(self, config_dir):
+        # an integer is a number; relative_threshold and archive_capacity
+        # take null
+        doc = tiny_experiment_doc(output_dir="elsewhere")
+        doc["mopso"].update(c1=2, v_max=20, archive_capacity=None)
+        doc["convergence"]["relative_threshold"] = None
+        path = config_dir / "numbers.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_experiment(path)
+        assert cfg.mopso.c1 == 2 and cfg.mopso.archive_capacity is None
+        assert cfg.convergence.relative_threshold is None
+        assert cfg.output_dir == "elsewhere"
 
     def test_unknown_top_level_key(self, config_dir):
         with pytest.raises(ConfigError, match="bogus"):
@@ -387,7 +401,12 @@ class TestCli:
          ("mopso", "max_iterations", 30.0), ("mopso", "archive_capacity", 10.5),
          ("convergence", "step", 2.5), ("convergence", "normalized", "false"),
          (None, "trials", 2.5), (None, "base_seed", 7.5),
-         (None, "snapshot_iterations", [5, 10.5])],
+         (None, "snapshot_iterations", [5, 10.5]),
+         ("convergence", "threshold", True), ("mopso", "c1", False),
+         ("mopso", "inertia", True), ("mopso", "c2", "2.0"), ("mopso", "v_max", None),
+         ("convergence", "relative_threshold", True),
+         ("convergence", "relative_threshold", "0.001"), ("convergence", "mode", 1),
+         (None, "output_dir", None), (None, "output_dir", 5)],
     )
     def test_wrong_typed_value_exit_2(self, config_dir, capsys, section, key, value):
         doc = tiny_experiment_doc()
@@ -398,6 +417,30 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and err["message"].startswith("invalid")
         assert "unknown" not in err["message"]
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("regions", 0, "grid", "nx"), 2.9), (("regions", 0, "grid", "ny"), "3"),
+         (("regions", 0, "grid", "nx"), True), (("radar", "powers_w", 0), True),
+         (("radar", "powers_w", 1), "1000"), (("deployment_region", "x_min"), "10"),
+         (("regions", 1, "bounds", "y_max"), None), (("radar", "gains", 0, "value"), False),
+         (("min_separation_m",), True), (("min_separation_m",), "10")],
+        ids=["grid-nx-2.9", "grid-ny-str", "grid-nx-true", "power-true", "power-str",
+             "x_min-str", "y_max-null", "gain-false", "min_separation-true",
+             "min_separation-str"],
+    )
+    def test_wrong_typed_scenario_value_exit_2(self, config_dir, capsys, path, value):
+        doc = copy.deepcopy(TINY_SCENARIO)
+        *parents, key = path
+        owner = doc
+        for parent in parents:
+            owner = owner[parent]
+        owner[key] = value
+        (config_dir / "tiny_scenario.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(write_experiment(config_dir))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["message"].startswith("invalid 'scenario'")
+        assert (key if isinstance(key, str) else parents[-1]) in err["message"]
 
     def test_zero_trials_override_exit_2(self, config_dir, capsys):
         path = write_experiment(config_dir)

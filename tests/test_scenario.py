@@ -247,6 +247,27 @@ class TestJointObjective:
         assert first.tobytes() == kept.tobytes()
         assert second is not first
 
+    def test_closures_called_in_alternation_keep_their_own_scratch(self, rng):
+        # each closure owns its buffers: interleaved calls of two closures of
+        # one scenario and of a scenario with other shapes stay exact
+        small = Scenario(
+            Rectangle(0.0, 9000.0, 0.0, 9000.0),
+            tuple(
+                InterferenceRegion(Rectangle(1000.0 * i, 1000.0 * i + 800.0, 0.0, 600.0), 3, 2)
+                for i in range(3)
+            ),
+            RadarParams(rng.uniform(1e3, 2e4, 3), rng.uniform(1.0, 1e4, 3)),
+            min_separation=25.0,
+        )
+        big = default_scenario(nx=6, ny=4)
+        pairs = [(big, make_objective(big)), (small, make_objective(small)),
+                 (big, make_objective(big))]
+        for _ in range(20):
+            for sc, objective in pairs:
+                flat = rng.uniform(0.0, 70000.0, 2 * sc.n_antennas)
+                got = objective(flat)
+                assert got.tobytes() == reference_objective(sc, flat).tobytes()
+
     def test_values_positive_finite(self, rng):
         sc = default_scenario(nx=5, ny=5)
         for _ in range(10):
