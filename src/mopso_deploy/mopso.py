@@ -307,10 +307,14 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
     put back to its state after that particle's draws, the candidate is
     inserted, and the next window starts after it. The first window is a
     third of the swarm, each later one twice the run just committed.
-    Arrays and generator end exactly as a particle-by-particle loop
-    leaves them; if the objective or the archive raises, the window's
-    particles are left as they were. Mutates ``swarm`` and ``archive`` in
-    place and returns them for convenience.
+    A personal best is read only by its own particle's update, so the
+    committed particles' personal bests are updated in one call at the
+    end, not once per window: an admission, which ends a window, then
+    costs no update of its own. Arrays and generator end exactly as a
+    particle-by-particle loop leaves them; if the objective or the
+    archive raises, the particles committed before it are left updated
+    and the window's others as they were. Mutates ``swarm`` and
+    ``archive`` in place and returns them for convenience.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -320,27 +324,28 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
     values = np.empty_like(swarm.best_value)
     states = [None] * n_particles  # generator state after particle i's draws
     start, width = 0, max(1, n_particles // 3)
-    while start < n_particles:
-        stop = min(n_particles, start + width)
-        for i in range(start, stop):
-            leaders[i] = select_leader(archive, rng)
-            rng.random(out=r[i])
-            states[i] = rng.bit_generator.state
-        window = slice(start, stop)
-        velocity = update_velocity(swarm, window, leaders[window], r[window], cfg)
-        position = update_position(swarm, window, velocity, lower, upper)
-        for k in range(stop - start):
-            values[start + k] = objective(position[k])
-            admitted = archive.admits(values[start + k])
+    try:
+        while start < n_particles:
+            stop = min(n_particles, start + width)
+            for i in range(start, stop):
+                leaders[i] = select_leader(archive, rng)
+                rng.random(out=r[i])
+                states[i] = rng.bit_generator.state
+            window = slice(start, stop)
+            velocity = update_velocity(swarm, window, leaders[window], r[window], cfg)
+            position = update_position(swarm, window, velocity, lower, upper)
+            for k in range(stop - start):
+                values[start + k] = objective(position[k])
+                admitted = archive.admits(values[start + k])
+                if admitted:
+                    break
+            done = slice(start, start + k + 1)
+            swarm.velocity[done] = velocity[: k + 1]
+            swarm.position[done] = position[: k + 1]
+            start, width = start + k + 1, 2 * (k + 1)
             if admitted:
-                break
-        done = slice(start, start + k + 1)
-        swarm.velocity[done] = velocity[: k + 1]
-        swarm.position[done] = position[: k + 1]
-        update_personal_best(swarm, done, values[done])
-        if admitted:
-            last = start + k
-            rng.bit_generator.state = states[last]
-            archive.insert(swarm.position[last], values[last], rng=rng)
-        start, width = start + k + 1, 2 * (k + 1)
+                rng.bit_generator.state = states[start - 1]
+                archive.insert(swarm.position[start - 1], values[start - 1], rng=rng)
+    finally:
+        update_personal_best(swarm, slice(0, start), values[:start])
     return swarm, archive

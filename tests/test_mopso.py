@@ -527,6 +527,7 @@ class TestWindowedStep:
         swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
         bad = np.array([-np.inf, -np.inf])
         assert dominance(archive.values(), bad).all()
+        left = []
         for stepper in (step, reference_step):
             calls = []
 
@@ -538,3 +539,12 @@ class TestWindowedStep:
             with pytest.raises(ValueError, match="non-finite"):
                 stepper(*state[:2], objective, self.LOWER, self.UPPER, cfg, state[2])
             assert len(calls) == 3
+            left.append(state[0])
+        # the two particles before it are fully updated, personal bests
+        # included, as the per-particle loop leaves them; no personal best
+        # after them has changed
+        got, want = left
+        for name in ("position", "velocity", "best_position", "best_value"):
+            assert getattr(got, name)[:2].tobytes() == getattr(want, name)[:2].tobytes()
+        for name in ("best_position", "best_value"):
+            assert getattr(got, name)[2:].tobytes() == getattr(swarm, name)[2:].tobytes()
