@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import replace
 
+from .convergence import MODES
 from .runner import (
     ConfigError,
     c_ratio_report,
@@ -35,14 +36,15 @@ from .runner import (
 )
 from .scenario import ScenarioError
 
+_CADENCES = {"every-h": "every_h", "every-iter": "every_iteration"}
+
 
 def _apply_overrides(cfg, args):
     conv = cfg.convergence
     if getattr(args, "mode", None):
         conv = replace(conv, mode=args.mode)
     if getattr(args, "cadence", None):
-        conv = replace(conv, cadence=args.cadence.replace("-", "_").replace(
-            "every_iter", "every_iteration"))
+        conv = replace(conv, cadence=_CADENCES[args.cadence])
     cfg = replace(cfg, convergence=conv)
     if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, trials=args.trials)
@@ -116,8 +118,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--seed", type=int, help="override base seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--mode", choices=["max", "min", "avg"])
-        p.add_argument("--cadence", choices=["every-h", "every-iter"])
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--cadence", choices=_CADENCES)
         p.add_argument(
             "--timings", action="store_true", help="include wall times in summaries"
         )

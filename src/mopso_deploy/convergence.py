@@ -14,6 +14,7 @@ threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,9 @@ class ConvergenceConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.cadence not in CADENCES:
             raise ValueError(f"cadence must be one of {CADENCES}")
-        if self.relative_threshold is not None and self.relative_threshold < 0:
-            raise ValueError("relative_threshold must be non-negative")
+        relative = self.relative_threshold
+        if relative is not None and not 0 <= relative < math.inf:
+            raise ValueError("relative_threshold must be finite and non-negative")
 
 
 def relative_distances(front_t, front_prev):

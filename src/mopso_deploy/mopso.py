@@ -42,10 +42,10 @@ class MopsoConfig:
     def __post_init__(self):
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
-        if self.inertia < 0 or self.c1 < 0 or self.c2 < 0:
-            raise ValueError("inertia, c1, c2 must be non-negative")
-        if not self.v_max > 0:
-            raise ValueError("v_max must be > 0")
+        if not all(0 <= c < math.inf for c in (self.inertia, self.c1, self.c2)):
+            raise ValueError("inertia, c1, c2 must be finite and non-negative")
+        if not 0 < self.v_max < math.inf:
+            raise ValueError("v_max must be finite and > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.archive_capacity is not None and self.archive_capacity < 1:

@@ -22,7 +22,16 @@ import numpy as np
 
 from .convergence import ConvergenceConfig, ConvergenceMonitor, FrontSnapshot, MODES
 from .mopso import MopsoConfig, init_swarm, pareto_filter, step
-from .scenario import Scenario, ScenarioError, load_scenario, make_objective
+from .scenario import (
+    JSON_KINDS,
+    Scenario,
+    ScenarioError,
+    json_object,
+    json_value,
+    load_scenario,
+    make_objective,
+    read_json,
+)
 
 
 class ConfigError(ValueError):
@@ -84,50 +93,24 @@ class RunResult:
         return self.final_front.iteration
 
 
-def _section(doc, key, cls=dict):
-    if key not in doc:
-        raise ConfigError(f"experiment config is missing key '{key}'")
-    value = doc[key]
-    if not isinstance(value, cls):
-        raise ConfigError(f"'{key}' has the wrong type (expected {cls.__name__})")
-    return value
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_types(cls, obj):
-    """Raise ValueError unless every field of ``cls`` set in ``obj`` has its
-    JSON type: an integer for int fields, a number for float fields (an
-    integer is a number, a boolean is neither), true or false for bool
-    fields and a string for str fields.
+    """Raise ValueError unless every field of ``cls`` set in ``obj`` is a
+    JSON value of the kind its annotation names (``scenario.json_value``):
+    Python's int(), float() and bool() would accept 2.5, true or "false".
 
-    Python's int(), float() and bool() would accept 2.5, true or "false";
-    the annotations are strings (postponed evaluation), and ``"... | None"``
-    also admits null.
+    The annotations are strings (postponed evaluation); ``"... | None"``
+    also admits null, and fields of other types have their own loaders.
     """
     for f in fields(cls):
-        if f.name not in obj:
-            continue
-        value = obj[f.name]
         kind = f.type.removesuffix(" | None")
-        if kind != f.type and value is None:
+        if f.name not in obj or kind not in JSON_KINDS:
             continue
-        if kind == "int" and not _is_int(value):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if kind == "float" and not (_is_int(value) or isinstance(value, float)):
-            raise ValueError(f"{f.name} must be a number, got {value!r}")
-        if kind == "bool" and not isinstance(value, bool):
-            raise ValueError(f"{f.name} must be true or false, got {value!r}")
-        if kind == "str" and not isinstance(value, str):
-            raise ValueError(f"{f.name} must be a string, got {value!r}")
+        if obj[f.name] is not None or kind == f.type:
+            json_value(obj[f.name], kind, f.name, ValueError)
 
 
 def _build(cls, obj, context):
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{context}'")
+    json_object(obj, context, {f.name for f in fields(cls)}, error=ConfigError)
     try:
         _check_types(cls, obj)
         return cls(**obj)
@@ -137,14 +120,11 @@ def _build(cls, obj, context):
 
 def experiment_from_dict(doc, base_dir="."):
     """Build and validate an ExperimentConfig from a parsed document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("experiment config must be a JSON object")
     known = {f.name for f in fields(ExperimentConfig)} - {"scenario_path"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in experiment config")
+    sections = ("scenario", "mopso", "convergence")
+    json_object(doc, "experiment config", known, sections, error=ConfigError)
 
-    scenario_path = _section(doc, "scenario", str)
+    scenario_path = json_value(doc["scenario"], "str", "scenario", ConfigError)
     if not os.path.isabs(scenario_path):
         scenario_path = os.path.join(base_dir, scenario_path)
     try:
@@ -152,8 +132,8 @@ def experiment_from_dict(doc, base_dir="."):
     except ScenarioError as exc:
         raise ConfigError(f"invalid 'scenario': {exc}") from None
 
-    mopso_cfg = _build(MopsoConfig, _section(doc, "mopso"), "mopso")
-    conv_cfg = _build(ConvergenceConfig, _section(doc, "convergence"), "convergence")
+    mopso_cfg = _build(MopsoConfig, doc["mopso"], "mopso")
+    conv_cfg = _build(ConvergenceConfig, doc["convergence"], "convergence")
 
     try:
         _check_types(ExperimentConfig, doc)
@@ -161,34 +141,18 @@ def experiment_from_dict(doc, base_dir="."):
             doc.get("snapshot_iterations", [s for s in DEFAULT_SNAPSHOTS
                                             if s <= mopso_cfg.max_iterations])
         )
-        if not all(_is_int(s) for s in snapshots):
-            raise ValueError(f"snapshot_iterations must be integers, got {snapshots}")
-        return ExperimentConfig(
-            scenario_path=scenario_path,
-            scenario=scenario,
-            mopso=mopso_cfg,
-            convergence=conv_cfg,
-            trials=doc.get("trials", 1),
-            base_seed=doc.get("base_seed", 0),
-            snapshot_iterations=snapshots,
-            output_dir=doc.get("output_dir", "out"),
-            halt_on_stop=doc.get("halt_on_stop", True),
-        )
-    except ConfigError:
-        raise
+        for i, s in enumerate(snapshots):
+            json_value(s, "int", f"snapshot_iterations[{i}]", ValueError)
+        options = {key: value for key, value in doc.items() if key not in sections}
+        options["snapshot_iterations"] = snapshots
+        return ExperimentConfig(scenario_path, scenario, mopso_cfg, conv_cfg, **options)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from None
 
 
 def load_experiment(path):
     """Load and validate an experiment JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"experiment config not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"experiment config {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "experiment config", ConfigError)
     return experiment_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

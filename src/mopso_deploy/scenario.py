@@ -46,9 +46,9 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ScenarioError(
-                "degenerate rectangle: require x_min < x_max and y_min < y_max, "
+                "rectangle needs finite x_min < x_max and y_min < y_max, "
                 f"got {self!r}"
             )
 
@@ -77,10 +77,10 @@ class RadarParams:
             raise ScenarioError(
                 f"gains length {g.size} does not match transmit_powers length {p.size}"
             )
-        if not np.all(p > 0):
-            raise ScenarioError("all transmit_powers must be strictly positive")
-        if not np.all(g > 0):
-            raise ScenarioError("all gains must be strictly positive")
+        if not np.all((p > 0) & (p < np.inf)):
+            raise ScenarioError("all transmit_powers must be finite and > 0")
+        if not np.all((g > 0) & (g < np.inf)):
+            raise ScenarioError("all gains must be finite and > 0")
         object.__setattr__(self, "transmit_powers", p)
         object.__setattr__(self, "gains", g)
 
@@ -143,8 +143,8 @@ class Scenario:
         regions = tuple(self.regions)
         if len(regions) < 1:
             raise ScenarioError("scenario needs at least one interference region")
-        if not self.min_separation > 0:
-            raise ScenarioError("min_separation must be > 0")
+        if not 0 < self.min_separation < math.inf:
+            raise ScenarioError("min_separation must be finite and > 0")
         object.__setattr__(self, "regions", regions)
 
     @property
@@ -250,57 +250,82 @@ def make_objective(scenario):
 
 
 # ---------------------------------------------------------------------------
-# Scenario file loading (strict JSON schema, units converted at load)
+# Config file loading: the JSON input rules that the experiment loader
+# shares, then the scenario schema (strict, units converted at load)
 # ---------------------------------------------------------------------------
 
+# kind -> (how a message names it, the Python types json gives it)
+JSON_KINDS = {
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "bool": ("true or false", (bool,)),
+    "str": ("a string", (str,)),
+}
 
-def _reject_unknown(obj, allowed, context):
+
+def read_json(path, what, error=ScenarioError):
+    """The parsed JSON file at ``path``; a missing file or invalid JSON
+    raises ``error`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def json_object(obj, context, allowed, required=(), error=ScenarioError):
+    """``obj`` if it is a JSON object whose keys are all ``allowed`` and
+    include every ``required`` one; else raise ``error`` naming ``context``."""
+    if not isinstance(obj, dict):
+        raise error(f"{context} must be a JSON object")
     unknown = set(obj) - set(allowed)
     if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {context}")
+        raise error(f"unknown key(s) {sorted(unknown)} in {context}")
+    for key in required:
+        if key not in obj:
+            raise error(f"{context} is missing key '{key}'")
+    return obj
 
 
-def _number(value, context):
-    """``value`` as a float if it is a JSON number (not a boolean)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{context} must be a number, got {value!r}")
-    return float(value)
+def json_value(value, kind, context, error=ScenarioError):
+    """``value`` if it is a JSON value of ``kind`` (a key of ``JSON_KINDS``),
+    as a float for "float"; else raise ``error`` naming ``context``.
+
+    A JSON integer is a number and a boolean is neither. NaN, which Python's
+    json reads, is not a number: it would pass every range check. Infinity
+    is; a field that must be finite says so in its own range check.
+    """
+    name, types = JSON_KINDS[kind]
+    if (
+        not isinstance(value, types)
+        or (isinstance(value, bool) and kind != "bool")
+        or (isinstance(value, float) and math.isnan(value))
+    ):
+        raise error(f"{context} must be {name}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
-def _count(value, context):
-    """``value`` if it is a JSON integer (not a boolean)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{context} must be an integer, got {value!r}")
-    return value
+_COORDS = ("x_min", "x_max", "y_min", "y_max")
 
 
 def _load_rectangle(obj, context):
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{context} must be an object")
-    _reject_unknown(obj, {"x_min", "x_max", "y_min", "y_max", "unit"}, context)
-    try:
-        scale = _LENGTH_UNITS[obj.get("unit", "m")]
-    except (KeyError, TypeError):
-        raise ScenarioError(
-            f"{context}.unit must be one of {sorted(_LENGTH_UNITS)}"
-        ) from None
+    json_object(obj, context, _COORDS + ("unit",), _COORDS)
+    unit = json_value(obj.get("unit", "m"), "str", f"{context}.unit")
+    if unit not in _LENGTH_UNITS:
+        raise ScenarioError(f"{context}.unit must be one of {sorted(_LENGTH_UNITS)}")
+    scale = _LENGTH_UNITS[unit]
     coords = {}
-    for key in ("x_min", "x_max", "y_min", "y_max"):
-        if key not in obj:
-            raise ScenarioError(f"{context} is missing key '{key}'")
-        coords[key] = _number(obj[key], f"{context}.{key}") * scale
+    for key in _COORDS:
+        coords[key] = json_value(obj[key], "float", f"{context}.{key}") * scale
     return Rectangle(**coords)
 
 
 def _load_gain(obj, context):
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{context} must be an object with 'value' and 'unit'")
-    _reject_unknown(obj, {"value", "unit"}, context)
-    try:
-        value = _number(obj["value"], f"{context}.value")
-        unit = obj["unit"]
-    except KeyError as exc:
-        raise ScenarioError(f"{context} is missing key {exc}") from None
+    json_object(obj, context, ("value", "unit"), ("value", "unit"))
+    value = json_value(obj["value"], "float", f"{context}.value")
+    unit = obj["unit"]
     if unit == "dB":
         return float(db_to_linear(value))
     if unit == "linear":
@@ -310,14 +335,8 @@ def _load_gain(obj, context):
 
 def scenario_from_dict(doc):
     """Build a Scenario from a parsed scenario document."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    _reject_unknown(
-        doc, {"deployment_region", "regions", "radar", "min_separation_m"}, "scenario"
-    )
-    for key in ("deployment_region", "regions", "radar", "min_separation_m"):
-        if key not in doc:
-            raise ScenarioError(f"scenario is missing key '{key}'")
+    keys = ("deployment_region", "regions", "radar", "min_separation_m")
+    json_object(doc, "scenario", keys, keys)
 
     deployment = _load_rectangle(doc["deployment_region"], "deployment_region")
 
@@ -326,34 +345,24 @@ def scenario_from_dict(doc):
     regions = []
     for i, robj in enumerate(doc["regions"]):
         ctx = f"regions[{i}]"
-        if not isinstance(robj, dict):
-            raise ScenarioError(f"{ctx} must be an object")
-        _reject_unknown(robj, {"bounds", "grid"}, ctx)
-        if "bounds" not in robj:
-            raise ScenarioError(f"{ctx} is missing key 'bounds'")
+        json_object(robj, ctx, ("bounds", "grid"), ("bounds",))
         bounds = _load_rectangle(robj["bounds"], f"{ctx}.bounds")
-        grid = robj.get("grid", {})
-        if not isinstance(grid, dict):
-            raise ScenarioError(f"{ctx}.grid must be an object")
-        _reject_unknown(grid, {"nx", "ny"}, f"{ctx}.grid")
-        nx = _count(grid.get("nx", 20), f"{ctx}.grid.nx")
-        ny = _count(grid.get("ny", 20), f"{ctx}.grid.ny")
+        grid = json_object(robj.get("grid", {}), f"{ctx}.grid", ("nx", "ny"))
+        nx = json_value(grid.get("nx", 20), "int", f"{ctx}.grid.nx")
+        ny = json_value(grid.get("ny", 20), "int", f"{ctx}.grid.ny")
         regions.append(InterferenceRegion(bounds, nx, ny))
 
-    radar_obj = doc["radar"]
-    if not isinstance(radar_obj, dict):
-        raise ScenarioError("'radar' must be an object")
-    _reject_unknown(radar_obj, {"powers_w", "gains"}, "radar")
-    try:
-        powers = radar_obj["powers_w"]
-        gains_raw = radar_obj["gains"]
-    except KeyError as exc:
-        raise ScenarioError(f"radar is missing key {exc}") from None
+    radar_keys = ("powers_w", "gains")
+    radar_obj = json_object(doc["radar"], "radar", radar_keys, radar_keys)
+    powers = radar_obj["powers_w"]
+    gains_raw = radar_obj["gains"]
     if not isinstance(powers, list) or not isinstance(gains_raw, list):
         raise ScenarioError("radar.powers_w and radar.gains must be lists")
-    powers = [_number(p, f"radar.powers_w[{i}]") for i, p in enumerate(powers)]
-    if not all(p > 0 for p in powers):
-        raise ScenarioError("radar.powers_w entries must be strictly positive numbers")
+    powers = [
+        json_value(p, "float", f"radar.powers_w[{i}]") for i, p in enumerate(powers)
+    ]
+    if not all(0 < p < math.inf for p in powers):
+        raise ScenarioError("radar.powers_w entries must be finite and > 0")
     gains = [_load_gain(g, f"radar.gains[{i}]") for i, g in enumerate(gains_raw)]
     radar = RadarParams(transmit_powers=np.array(powers, float), gains=np.array(gains))
 
@@ -361,20 +370,13 @@ def scenario_from_dict(doc):
         deployment_region=deployment,
         regions=tuple(regions),
         radar=radar,
-        min_separation=_number(doc["min_separation_m"], "min_separation_m"),
+        min_separation=json_value(doc["min_separation_m"], "float", "min_separation_m"),
     )
 
 
 def load_scenario(path):
     """Load and validate a scenario JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from None
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json(path, "scenario file"))
 
 
 def default_scenario(nx=20, ny=20):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mopso_deploy.runner import (
     run_single,
     write_front_csv,
 )
+from mopso_deploy.scenario import ScenarioError, load_scenario
 
 TINY_SCENARIO = {
     "deployment_region": {
@@ -148,6 +150,38 @@ class TestLoadExperiment:
         for name in ("default_experiment.json", "desk_experiment.json"):
             cfg = load_experiment(root / name)
             assert cfg.scenario.n_antennas == 8
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [("missing", "not found"), ("broken", "not valid JSON"),
+         ("binary", "not valid JSON")],
+        ids=["missing", "broken", "binary"],
+    )
+    @pytest.mark.parametrize("which", ["experiment", "scenario"])
+    def test_unreadable_file(self, config_dir, capsys, which, damage, message):
+        experiment = write_experiment(config_dir)
+        scenario = config_dir / "tiny_scenario.json"
+        target, loader, error = {
+            "experiment": (experiment, load_experiment, ConfigError),
+            "scenario": (scenario, load_scenario, ScenarioError),
+        }[which]
+        if damage == "missing":
+            target.unlink()
+        else:
+            target.write_bytes({"broken": b"{", "binary": b"\xff{}"}[damage])
+        with pytest.raises(error, match=message):
+            loader(target)
+        assert main(["run", "--config", str(experiment)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_readme_example_loads(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Experiment config\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = experiment_from_dict(json.loads(block), base_dir=str(root / "configs"))
+        assert cfg.mopso.v_max == 150.0 and cfg.trials == 20
+        assert cfg.scenario.n_antennas == 8
 
 
 class TestRunSingle:
@@ -361,6 +395,23 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["convergence"]["mode"] == "max"
 
+    @pytest.mark.parametrize(
+        "flag, cadence", [("every-h", "every_h"), ("every-iter", "every_iteration")]
+    )
+    def test_cadence_override_lands_in_summary(
+        self, config_dir, tmp_path, flag, cadence
+    ):
+        doc = tiny_experiment_doc()
+        other = {"every_h": "every_iteration", "every_iteration": "every_h"}
+        doc["convergence"]["cadence"] = other[cadence]
+        path = config_dir / "cadence.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "cli_cadence"
+        args = ["run", "--config", str(path), "--out", str(out), "--cadence", flag]
+        assert main(args) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["convergence"]["cadence"] == cadence
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -406,7 +457,9 @@ class TestCli:
          ("mopso", "inertia", True), ("mopso", "c2", "2.0"), ("mopso", "v_max", None),
          ("convergence", "relative_threshold", True),
          ("convergence", "relative_threshold", "0.001"), ("convergence", "mode", 1),
-         (None, "output_dir", None), (None, "output_dir", 5)],
+         (None, "output_dir", None), (None, "output_dir", 5),
+         ("convergence", "threshold", math.nan),
+         ("convergence", "relative_threshold", math.nan), ("mopso", "c1", math.nan)],
     )
     def test_wrong_typed_value_exit_2(self, config_dir, capsys, section, key, value):
         doc = tiny_experiment_doc()
@@ -424,10 +477,14 @@ class TestCli:
          (("regions", 0, "grid", "nx"), True), (("radar", "powers_w", 0), True),
          (("radar", "powers_w", 1), "1000"), (("deployment_region", "x_min"), "10"),
          (("regions", 1, "bounds", "y_max"), None), (("radar", "gains", 0, "value"), False),
-         (("min_separation_m",), True), (("min_separation_m",), "10")],
+         (("min_separation_m",), True), (("min_separation_m",), "10"),
+         (("radar", "gains", 0, "value"), math.nan), (("min_separation_m",), math.nan),
+         (("deployment_region", "x_max"), math.inf),
+         (("radar", "powers_w", 1), math.inf)],
         ids=["grid-nx-2.9", "grid-ny-str", "grid-nx-true", "power-true", "power-str",
              "x_min-str", "y_max-null", "gain-false", "min_separation-true",
-             "min_separation-str"],
+             "min_separation-str", "gain-nan", "min_separation-nan", "x_max-inf",
+             "power-inf"],
     )
     def test_wrong_typed_scenario_value_exit_2(self, config_dir, capsys, path, value):
         doc = copy.deepcopy(TINY_SCENARIO)
@@ -441,6 +498,30 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and err["message"].startswith("invalid 'scenario'")
         assert (key if isinstance(key, str) else parents[-1]) in err["message"]
+
+    @pytest.mark.parametrize(
+        "file, path, named",
+        [("experiment", ("mopso", "v_max"), "v_max"),
+         ("experiment", ("mopso", "inertia"), "inertia"),
+         ("experiment", ("mopso", "c1"), "c1"), ("experiment", ("mopso", "c2"), "c2"),
+         ("experiment", ("convergence", "relative_threshold"), "relative_threshold"),
+         ("scenario", ("min_separation_m",), "min_separation")],
+        ids=["v_max", "inertia", "c1", "c2", "relative_threshold", "min_separation_m"],
+    )
+    def test_infinite_value_exit_2(self, config_dir, capsys, file, path, named):
+        docs = {"experiment": tiny_experiment_doc(),
+                "scenario": copy.deepcopy(TINY_SCENARIO)}
+        *parents, key = path
+        owner = docs[file]
+        for parent in parents:
+            owner = owner[parent]
+        owner[key] = math.inf
+        (config_dir / "tiny_scenario.json").write_text(json.dumps(docs["scenario"]))
+        experiment = config_dir / "infinite.json"
+        experiment.write_text(json.dumps(docs["experiment"]))
+        assert main(["run", "--config", str(experiment)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and named in err["message"]
 
     def test_zero_trials_override_exit_2(self, config_dir, capsys):
         path = write_experiment(config_dir)
