@@ -24,6 +24,7 @@ objective) reproduces the full trajectory bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,20 @@ class ParetoArchive:
     member, in insertion order. Crowding distances are recomputed after
     every mutation; when a bounded archive overflows, the member with the
     smallest crowding is evicted (ties broken uniformly at random). Each
-    mutation replaces the arrays rather than writing into them.
+    mutation replaces the arrays rather than writing into them, in
+    ``_set``, which also rebuilds the Python-float views below.
+
+    With two objectives ``_set`` keeps the members' values sorted by f1
+    (``_f1`` ascending, ``_f2`` the matching f2). Members do not dominate
+    each other, so f2 is non-increasing along that order: a later member
+    with a larger f2 would dominate an earlier one, and two members with
+    equal f1 are equal. The members with f1 >= a are then the suffix from
+    ``i = bisect_left(_f1, a)``, and its first one has the largest f2 of
+    them; so (a, b) is dominated iff that member has f2 > b, or f2 == b
+    and f1 > a (if it equals (a, b), no member can dominate it). This is
+    exactly ``dominance(values, (a, b)).any()``, ties and duplicates
+    included, for one bisect instead of a mask over the archive (the sweep
+    of Jensen, IEEE TEVC 7(5), 2003).
     """
 
     def __init__(self, capacity=None):
@@ -134,6 +148,8 @@ class ParetoArchive:
         self._values = np.empty((0, 0))  # (K, M)
         self._positions = np.empty((0, 0))  # (K, D)
         self.crowding = np.empty(0)  # (K,)
+        self._crowding = []  # crowding as Python floats, for select_leader
+        self._f1 = self._f2 = None  # the f1-sorted view, when M == 2
 
     def __len__(self):
         return self._values.shape[0]
@@ -150,6 +166,11 @@ class ParetoArchive:
         self._values = values
         self._positions = positions
         self.crowding = crowding_distances(values)
+        self._crowding = self.crowding.tolist()
+        if values.shape[1] == 2:
+            by_f1 = values[np.argsort(values[:, 0], kind="stable")]
+            self._f1 = by_f1[:, 0].tolist()
+            self._f2 = by_f1[:, 1].tolist()
 
     def admits(self, value):
         """True iff no member dominates ``value``, the test ``insert`` applies.
@@ -158,14 +179,20 @@ class ParetoArchive:
         ever dominate a NaN, so it would stay for good.
         """
         value = np.asarray(value, dtype=float)
-        # a Python loop over M values costs less than a numpy reduction
-        if not all(map(math.isfinite, value.ravel().tolist())):
+        # Python loops over M values cost less than numpy reductions
+        flat = value.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
             raise ValueError(f"non-finite archive candidate value {value.tolist()}")
         if not len(self):
             return True
         if self._values.shape[1] != value.size:
             raise ValueError("candidate objective length mismatch")
-        return not dominance(self._values, value).any()
+        if self._f1 is None:
+            return not dominance(self._values, value).any()
+        a, b = flat  # the sorted-view test of the class docstring
+        f1, f2 = self._f1, self._f2
+        i = bisect_left(f1, a)
+        return i == len(f1) or not (f2[i] > b or (f2[i] == b and f1[i] > a))
 
     def insert(self, position, value, rng=None):
         """Insert a candidate; returns True if it entered the archive.
@@ -214,10 +241,10 @@ def select_leader(archive, rng):
     # two scalar draws: the stream of integers(0, n, size=2), at a third the cost
     i = rng.integers(0, n)
     j = rng.integers(0, n)
-    crowd = archive.crowding
-    if crowd[i] > crowd[j]:
+    ci, cj = archive._crowding[i], archive._crowding[j]
+    if ci > cj:
         k = i
-    elif crowd[j] > crowd[i]:
+    elif cj > ci:
         k = j
     else:
         k = i if rng.random() < 0.5 else j

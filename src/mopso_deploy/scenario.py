@@ -295,7 +295,8 @@ def json_value(value, kind, context, error=ScenarioError):
 
     A JSON integer is a number and a boolean is neither. NaN, which Python's
     json reads, is not a number: it would pass every range check. Infinity
-    is; a field that must be finite says so in its own range check.
+    is; a field that must be finite says so in its own range check. An
+    integer too large for a float is not a number either.
     """
     name, types = JSON_KINDS[kind]
     if (
@@ -304,7 +305,12 @@ def json_value(value, kind, context, error=ScenarioError):
         or (isinstance(value, float) and math.isnan(value))
     ):
         raise error(f"{context} must be {name}, got {value!r}")
-    return float(value) if kind == "float" else value
+    if kind != "float":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{context} must be {name} a float can hold, got {value!r}") from None
 
 
 _COORDS = ("x_min", "x_max", "y_min", "y_max")

@@ -26,6 +26,9 @@ from mopso_deploy.mopso import (
     update_velocity,
 )
 
+# objective values on a small integer grid, signed zero included
+GRID = st.one_of(st.integers(-2, 3).map(float), st.just(-0.0))
+
 
 def make_swarm(position, velocity=None, best=None, best_value=(1.0, 1.0)):
     """Swarm whose rows are the given particles (a single 1-D row allowed)."""
@@ -350,6 +353,27 @@ class TestArchive:
             assert np.array_equal(archive.crowding, crowding_distances(vals))
             for value, position in zip(vals.tolist(), archive.positions().tolist()):
                 assert value_of[tuple(position)] == tuple(value)
+
+    @given(
+        st.lists(st.tuples(GRID, GRID), max_size=40),
+        st.lists(st.tuples(GRID, GRID), min_size=1, max_size=8),
+        st.sampled_from([None, 1, 2, 5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_admission_matches_dominance_mask(self, points, probes, capacity):
+        # two objectives take the bisect test on the f1-sorted view; a small
+        # integer grid with -0.0 forces ties, duplicates and signed zeros
+        archive = ParetoArchive(capacity=capacity)
+        rng = np.random.default_rng(0)
+        for n, point in enumerate(points):
+            archive.insert([float(n)], point, rng=rng)
+            vals = archive.values()
+            by_f1 = sorted(vals.tolist(), key=lambda v: v[0])
+            view = np.array([archive._f1, archive._f2]).T
+            assert view.tobytes() == np.array(by_f1).tobytes()
+            for probe in [point, *probes]:
+                expected = not dominance(vals, np.array(probe)).any()
+                assert archive.admits(probe) == expected
 
 
 class TestLeaderSelection:

@@ -54,3 +54,8 @@ def test_traced_run_counts_every_layer(monkeypatch):
     calls = traced.stats["scenario.objective"].calls
     assert calls == (iterations + 1) * cfg.mopso.swarm_size
     assert traced.stats["mopso.step"].calls == iterations
+    # the layers a step attributes its work to keep seeing it: at least one
+    # leader per particle update (speculative redraws add more)
+    assert traced.stats["mopso.select_leader"].calls >= iterations * cfg.mopso.swarm_size
+    assert traced.stats["mopso.archive_insert"].calls > 0
+    assert traced.stats["mopso.update_personal_best"].calls > 0

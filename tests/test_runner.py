@@ -459,7 +459,8 @@ class TestCli:
          ("convergence", "relative_threshold", "0.001"), ("convergence", "mode", 1),
          (None, "output_dir", None), (None, "output_dir", 5),
          ("convergence", "threshold", math.nan),
-         ("convergence", "relative_threshold", math.nan), ("mopso", "c1", math.nan)],
+         ("convergence", "relative_threshold", math.nan), ("mopso", "c1", math.nan),
+         pytest.param("mopso", "c1", 10**400, id="mopso-c1-int-too-large")],
     )
     def test_wrong_typed_value_exit_2(self, config_dir, capsys, section, key, value):
         doc = tiny_experiment_doc()
@@ -480,11 +481,11 @@ class TestCli:
          (("min_separation_m",), True), (("min_separation_m",), "10"),
          (("radar", "gains", 0, "value"), math.nan), (("min_separation_m",), math.nan),
          (("deployment_region", "x_max"), math.inf),
-         (("radar", "powers_w", 1), math.inf)],
+         (("radar", "powers_w", 1), math.inf), (("min_separation_m",), 10**400)],
         ids=["grid-nx-2.9", "grid-ny-str", "grid-nx-true", "power-true", "power-str",
              "x_min-str", "y_max-null", "gain-false", "min_separation-true",
              "min_separation-str", "gain-nan", "min_separation-nan", "x_max-inf",
-             "power-inf"],
+             "power-inf", "min_separation-int-too-large"],
     )
     def test_wrong_typed_scenario_value_exit_2(self, config_dir, capsys, path, value):
         doc = copy.deepcopy(TINY_SCENARIO)
