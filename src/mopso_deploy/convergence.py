@@ -187,22 +187,11 @@ class ConvergenceMonitor:
     def __init__(self, cfg):
         self.cfg = cfg
         self.trace = DistanceTrace()
-        self._snapshots = {}  # iteration -> FrontSnapshot
-        self._resolved_threshold = (
+        self._snapshots = {}  # iteration -> front a later call compares against
+        # None until a relative threshold resolves on the first aggregate
+        self.effective_threshold = (
             None if cfg.relative_threshold is not None else cfg.threshold
         )
-
-    @property
-    def effective_threshold(self):
-        return self._resolved_threshold
-
-    def _is_evaluation_point(self, t):
-        h = self.cfg.step
-        if t < h:
-            return False
-        if self.cfg.cadence == "every_h":
-            return t % h == 0
-        return True
 
     def _normalize(self, front_t, front_prev):
         span = front_t.values.max(axis=0) - front_t.values.min(axis=0)
@@ -216,28 +205,24 @@ class ConvergenceMonitor:
         """Record the archive image at iteration t; returns STOP iff
         ``should_stop`` holds at t, else CONTINUE."""
         snap = FrontSnapshot(t, np.asarray(front_values, dtype=float))
-        self._snapshots[t] = snap
         h = self.cfg.step
-        decision = self.CONTINUE
-        prev = self._snapshots.get(t - h) if self._is_evaluation_point(t) else None
-        if prev is not None:
-            dist_raw, z = aggregate(relative_distances(snap, prev))
-            if self.cfg.normalized:
-                dist, _ = aggregate(relative_distances(*self._normalize(snap, prev)))
-            else:
-                dist = dist_raw
-            self.trace.append(
-                TraceRecord(
-                    iteration=t, n_points=snap.size, z=z, dist=dist, dist_raw=dist_raw
-                )
+        prev = self._snapshots.pop(t - h, None)
+        if self.cfg.cadence == "every_iteration" or t % h == 0:
+            self._snapshots[t] = snap
+        if prev is None:
+            return self.CONTINUE
+        dist_raw, z = aggregate(relative_distances(snap, prev))
+        if self.cfg.normalized:
+            dist, _ = aggregate(relative_distances(*self._normalize(snap, prev)))
+        else:
+            dist = dist_raw
+        self.trace.append(
+            TraceRecord(
+                iteration=t, n_points=snap.size, z=z, dist=dist, dist_raw=dist_raw
             )
-            if self._resolved_threshold is None:
-                self._resolved_threshold = (
-                    self.cfg.relative_threshold * dist[self.cfg.mode]
-                )
-            if should_stop(self.trace, self.cfg, self._resolved_threshold):
-                decision = self.STOP
-        # drop snapshots too old to be compared against again
-        for it in [it for it in self._snapshots if it <= t - h]:
-            del self._snapshots[it]
-        return decision
+        )
+        if self.effective_threshold is None:
+            self.effective_threshold = self.cfg.relative_threshold * dist[self.cfg.mode]
+        if should_stop(self.trace, self.cfg, self.effective_threshold):
+            return self.STOP
+        return self.CONTINUE

@@ -56,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         snaps = tuple(sorted(set(int(s) for s in self.snapshot_iterations)))
         if snaps and snaps[-1] > self.mopso.max_iterations:
             raise ConfigError(
@@ -218,7 +220,8 @@ def run_monte_carlo(cfg, jobs=1):
     """
     seeds = [cfg.base_seed + i for i in range(cfg.trials)]
     if jobs > 1 and cfg.trials > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.trials)) as pool:
             results = list(pool.map(_run_trial, [(cfg, s) for s in seeds]))
     else:
         results = [run_single(cfg, s) for s in seeds]

@@ -296,7 +296,8 @@ def json_value(value, kind, context, error=ScenarioError):
     A JSON integer is a number and a boolean is neither. NaN, which Python's
     json reads, is not a number: it would pass every range check. Infinity
     is; a field that must be finite says so in its own range check. An
-    integer too large for a float is not a number either.
+    integer too large for a float is not a number either, and one outside
+    the signed 64-bit range is not an integer: numpy cannot size by it.
     """
     name, types = JSON_KINDS[kind]
     if (
@@ -305,6 +306,8 @@ def json_value(value, kind, context, error=ScenarioError):
         or (isinstance(value, float) and math.isnan(value))
     ):
         raise error(f"{context} must be {name}, got {value!r}")
+    if kind == "int" and not -(2**63) <= value < 2**63:
+        raise error(f"{context} must be {name} an int64 can hold, got {value!r}")
     if kind != "float":
         return value
     try:
@@ -346,8 +349,8 @@ def scenario_from_dict(doc):
 
     deployment = _load_rectangle(doc["deployment_region"], "deployment_region")
 
-    if not isinstance(doc["regions"], list) or not doc["regions"]:
-        raise ScenarioError("'regions' must be a non-empty list")
+    if not isinstance(doc["regions"], list):
+        raise ScenarioError("'regions' must be a list")
     regions = []
     for i, robj in enumerate(doc["regions"]):
         ctx = f"regions[{i}]"
@@ -367,8 +370,6 @@ def scenario_from_dict(doc):
     powers = [
         json_value(p, "float", f"radar.powers_w[{i}]") for i, p in enumerate(powers)
     ]
-    if not all(0 < p < math.inf for p in powers):
-        raise ScenarioError("radar.powers_w entries must be finite and > 0")
     gains = [_load_gain(g, f"radar.gains[{i}]") for i, g in enumerate(gains_raw)]
     radar = RadarParams(transmit_powers=np.array(powers, float), gains=np.array(gains))
 
@@ -384,28 +385,3 @@ def load_scenario(path):
     """Load and validate a scenario JSON file."""
     return scenario_from_dict(read_json(path, "scenario file"))
 
-
-def default_scenario(nx=20, ny=20):
-    """Two-region 70 km x 70 km scenario with 8 identical antennas.
-
-    A representative geometry: a 70 km deployment square with two
-    well-separated interference rectangles, 8 antennas at 15 kW with
-    40 dB gains, and a 100 m separation floor.
-    """
-    deployment = Rectangle(0.0, 70_000.0, 0.0, 70_000.0)
-    region_a = InterferenceRegion(
-        Rectangle(10_000.0, 25_000.0, 40_000.0, 55_000.0), nx, ny
-    )
-    region_b = InterferenceRegion(
-        Rectangle(45_000.0, 60_000.0, 10_000.0, 25_000.0), nx, ny
-    )
-    radar = RadarParams(
-        transmit_powers=np.full(8, 15_000.0),
-        gains=np.full(8, float(db_to_linear(40.0))),
-    )
-    return Scenario(
-        deployment_region=deployment,
-        regions=(region_a, region_b),
-        radar=radar,
-        min_separation=100.0,
-    )

@@ -1,10 +1,24 @@
 """Shared brute-force oracles, kept deliberately independent of the
-library's own implementations."""
+library's own implementations, and the paper's scenario at any grid."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+
+from mopso_deploy.scenario import scenario_from_dict
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def paper_scenario(nx=20, ny=20):
+    """``configs/default_scenario.json`` with every region on an nx-by-ny grid."""
+    doc = json.loads((CONFIGS / "default_scenario.json").read_text(encoding="utf-8"))
+    for region in doc["regions"]:
+        region["grid"] = {"nx": nx, "ny": ny}
+    return scenario_from_dict(doc)
 
 
 def oracle_dominates(a, b):

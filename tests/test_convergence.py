@@ -255,8 +255,12 @@ class TestMonitor:
         assert traces[0] == pytest.approx(traces[1], rel=1e-12)
 
     def test_snapshot_pruning(self):
-        cfg = ConvergenceConfig(step=3)
-        monitor = ConvergenceMonitor(cfg)
-        for t in range(0, 20):
-            monitor.observe(t, [(float(t), 1.0)])
-            assert len(monitor._snapshots) <= cfg.step + 1
+        # only fronts a later call compares against are kept: the last
+        # multiple of h under every_h, the last h fronts under every_iteration
+        for cadence, pending in (("every_h", 1), ("every_iteration", 3)):
+            cfg = ConvergenceConfig(step=3, cadence=cadence)
+            monitor = ConvergenceMonitor(cfg)
+            for t in range(0, 20):
+                monitor.observe(t, [(float(t), 1.0)])
+                assert len(monitor._snapshots) <= cfg.step + 1
+                assert len(monitor._snapshots) <= pending

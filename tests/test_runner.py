@@ -250,6 +250,32 @@ class TestRunSingle:
             results[1].final_front.values, solo.final_front.values
         )
 
+    @pytest.mark.parametrize("jobs, trials, workers", [(64, 2, 2), (2, 3, 2)])
+    def test_monte_carlo_workers_capped_at_trials(
+        self, config_dir, monkeypatch, jobs, trials, workers
+    ):
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("mopso_deploy.runner.ProcessPoolExecutor", InProcessPool)
+        doc = tiny_experiment_doc(trials=trials)
+        cfg = experiment_from_dict(doc, base_dir=str(config_dir))
+        results = run_monte_carlo(cfg, jobs=jobs)
+        assert opened == [workers]
+        assert [r.seed for r in results] == [7 + i for i in range(trials)]
+
 
 class TestCRatio:
     FRONT_EARLY = [(0.0, 0.0), (2.0, -2.0)]
@@ -460,7 +486,8 @@ class TestCli:
          (None, "output_dir", None), (None, "output_dir", 5),
          ("convergence", "threshold", math.nan),
          ("convergence", "relative_threshold", math.nan), ("mopso", "c1", math.nan),
-         pytest.param("mopso", "c1", 10**400, id="mopso-c1-int-too-large")],
+         pytest.param("mopso", "c1", 10**400, id="mopso-c1-int-too-large"),
+         pytest.param("mopso", "swarm_size", 10**30, id="mopso-swarm_size-above-int64")],
     )
     def test_wrong_typed_value_exit_2(self, config_dir, capsys, section, key, value):
         doc = tiny_experiment_doc()
@@ -481,11 +508,11 @@ class TestCli:
          (("min_separation_m",), True), (("min_separation_m",), "10"),
          (("radar", "gains", 0, "value"), math.nan), (("min_separation_m",), math.nan),
          (("deployment_region", "x_max"), math.inf),
-         (("radar", "powers_w", 1), math.inf), (("min_separation_m",), 10**400)],
+         (("min_separation_m",), 10**400), (("regions", 0, "grid", "nx"), 10**30)],
         ids=["grid-nx-2.9", "grid-ny-str", "grid-nx-true", "power-true", "power-str",
              "x_min-str", "y_max-null", "gain-false", "min_separation-true",
              "min_separation-str", "gain-nan", "min_separation-nan", "x_max-inf",
-             "power-inf", "min_separation-int-too-large"],
+             "min_separation-int-too-large", "grid-nx-above-int64"],
     )
     def test_wrong_typed_scenario_value_exit_2(self, config_dir, capsys, path, value):
         doc = copy.deepcopy(TINY_SCENARIO)
@@ -506,8 +533,10 @@ class TestCli:
          ("experiment", ("mopso", "inertia"), "inertia"),
          ("experiment", ("mopso", "c1"), "c1"), ("experiment", ("mopso", "c2"), "c2"),
          ("experiment", ("convergence", "relative_threshold"), "relative_threshold"),
-         ("scenario", ("min_separation_m",), "min_separation")],
-        ids=["v_max", "inertia", "c1", "c2", "relative_threshold", "min_separation_m"],
+         ("scenario", ("min_separation_m",), "min_separation"),
+         ("scenario", ("radar", "powers_w", 1), "transmit_powers")],
+        ids=["v_max", "inertia", "c1", "c2", "relative_threshold", "min_separation_m",
+             "powers_w"],
     )
     def test_infinite_value_exit_2(self, config_dir, capsys, file, path, named):
         docs = {"experiment": tiny_experiment_doc(),
@@ -528,6 +557,17 @@ class TestCli:
         path = write_experiment(config_dir)
         assert main(["mc", "--config", str(path), "--trials", "0"]) == 2
         assert "trials" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "overrides, args",
+        [({"base_seed": -3}, []), ({}, ["--seed", "-1"])],
+        ids=["file", "flag"],
+    )
+    def test_negative_seed_exit_2(self, config_dir, capsys, overrides, args):
+        path = write_experiment(config_dir, **overrides)
+        assert main(["run", "--config", str(path), *args]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "base_seed" in err["message"]
 
     def test_unresolved_relative_threshold_exports_null(self, config_dir, tmp_path):
         # the cap (4) comes before the first aggregate (t = step = 5)

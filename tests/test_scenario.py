@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_objective
+from conftest import CONFIGS, paper_scenario, reference_objective
 from mopso_deploy.scenario import (
     InterferenceRegion,
     RadarParams,
@@ -12,7 +12,6 @@ from mopso_deploy.scenario import (
     Scenario,
     ScenarioError,
     db_to_linear,
-    default_scenario,
     discretize_region,
     joint_objective,
     load_scenario,
@@ -174,7 +173,7 @@ class TestJointObjective:
         assert objective((far, near)) == forward[::-1]
 
     def test_antenna_permutation_invariance(self, rng):
-        sc = default_scenario(nx=4, ny=4)
+        sc = paper_scenario(nx=4, ny=4)
         layout = rng.uniform(0, 70000, (8, 2))
         base = joint_objective(layout, sc)
         for _ in range(5):
@@ -184,7 +183,7 @@ class TestJointObjective:
             )
 
     def test_power_scaling(self, rng):
-        sc = default_scenario(nx=4, ny=4)
+        sc = paper_scenario(nx=4, ny=4)
         layout = rng.uniform(0, 70000, (8, 2))
         base = joint_objective(layout, sc)
         scaled = Scenario(
@@ -198,7 +197,7 @@ class TestJointObjective:
         )
 
     def test_monotone_in_distance(self):
-        sc = default_scenario(nx=2, ny=2)
+        sc = paper_scenario(nx=2, ny=2)
         cell = sc.regions[0].cells[0]
         radar = single_radar(1000.0, 10.0)
         far = power_density([cell + np.array([5000.0, 0.0])], tuple(cell), radar, 100.0)
@@ -206,7 +205,7 @@ class TestJointObjective:
         assert near > far
 
     def test_make_objective_matches_joint(self, rng):
-        sc = default_scenario(nx=5, ny=5)
+        sc = paper_scenario(nx=5, ny=5)
         objective = make_objective(sc)
         for _ in range(10):
             layout = rng.uniform(0, 70000, (8, 2))
@@ -240,7 +239,7 @@ class TestJointObjective:
             assert got.tobytes() == reference_objective(sc, layout.ravel()).tobytes()
 
     def test_result_not_overwritten_by_next_call(self, rng):
-        objective = make_objective(default_scenario(nx=5, ny=5))
+        objective = make_objective(paper_scenario(nx=5, ny=5))
         first = objective(rng.uniform(0, 70000, 16))
         kept = first.copy()
         second = objective(rng.uniform(0, 70000, 16))
@@ -259,7 +258,7 @@ class TestJointObjective:
             RadarParams(rng.uniform(1e3, 2e4, 3), rng.uniform(1.0, 1e4, 3)),
             min_separation=25.0,
         )
-        big = default_scenario(nx=6, ny=4)
+        big = paper_scenario(nx=6, ny=4)
         pairs = [(big, make_objective(big)), (small, make_objective(small)),
                  (big, make_objective(big))]
         for _ in range(20):
@@ -269,7 +268,7 @@ class TestJointObjective:
                 assert got.tobytes() == reference_objective(sc, flat).tobytes()
 
     def test_values_positive_finite(self, rng):
-        sc = default_scenario(nx=5, ny=5)
+        sc = paper_scenario(nx=5, ny=5)
         for _ in range(10):
             vec = joint_objective(rng.uniform(0, 70000, (8, 2)), sc)
             assert np.isfinite(vec).all() and (vec > 0).all()
@@ -345,7 +344,13 @@ class TestScenarioFile:
     def test_negative_power_names_key(self):
         doc = self.base_doc()
         doc["radar"]["powers_w"] = [-5.0]
-        with pytest.raises(ScenarioError, match="powers_w"):
+        with pytest.raises(ScenarioError, match="transmit_powers"):
+            scenario_from_dict(doc)
+
+    def test_no_regions_rejected(self):
+        doc = self.base_doc()
+        doc["regions"] = []
+        with pytest.raises(ScenarioError, match="at least one interference region"):
             scenario_from_dict(doc)
 
     def test_bad_gain_unit(self):
@@ -359,9 +364,17 @@ class TestScenarioFile:
             load_scenario(tmp_path / "nope.json")
 
     def test_shipped_configs_load(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[1] / "configs"
         for name in ("default_scenario.json", "desk_scenario.json"):
-            sc = load_scenario(root / name)
+            sc = load_scenario(CONFIGS / name)
             assert sc.n_antennas == 8 and sc.n_regions == 2
+        # the paper's geometry: a 70 km square, two 15 km regions on 20x20
+        # grids, 8 antennas at 15 kW with 40 dB gain and a 100 m floor
+        sc = load_scenario(CONFIGS / "default_scenario.json")
+        assert sc.deployment_region == Rectangle(0.0, 70_000.0, 0.0, 70_000.0)
+        assert [(r.bounds, r.nx, r.ny) for r in sc.regions] == [
+            (Rectangle(10_000.0, 25_000.0, 40_000.0, 55_000.0), 20, 20),
+            (Rectangle(45_000.0, 60_000.0, 10_000.0, 25_000.0), 20, 20),
+        ]
+        assert sc.radar.transmit_powers.tolist() == [15_000.0] * 8
+        assert sc.radar.gains.tolist() == [1.0e4] * 8
+        assert sc.min_separation == 100.0
