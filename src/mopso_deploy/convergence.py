@@ -8,8 +8,8 @@ For each point of the newer front we take the minimum Euclidean
 objective-space distance to the older-front points it dominates (zero
 when it dominates none); the interval distance aggregates these
 per-point relative distances as a max, min, or zero-excluded average.
-The run stops once two consecutive aggregates differ by at most a
-threshold.
+The run stops once the aggregate differs from the one h iterations
+earlier by at most a threshold.
 """
 
 from __future__ import annotations
@@ -146,37 +146,13 @@ class TraceRecord:
 class DistanceTrace:
     records: list = field(default_factory=list)
 
-    def append(self, record):
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
-
-def should_stop(trace, cfg, threshold=None):
-    """Threshold test on the latest aggregate and the one h iterations earlier.
-
-    True iff aggregates exist at both t and t-h and their absolute
-    difference is within ``threshold`` (default ``cfg.threshold``; the
-    monitor passes its resolved relative threshold). Records are in
-    increasing iteration order, so the one at t-h is among the last h+1.
-    """
-    if len(trace) == 0:
-        return False
-    cur = trace.records[-1]
-    for prev in trace.records[-cfg.step - 1 : -1]:
-        if prev.iteration == cur.iteration - cfg.step:
-            limit = cfg.threshold if threshold is None else threshold
-            return abs(cur.dist[cfg.mode] - prev.dist[cfg.mode]) <= limit
-    return False
-
 
 class ConvergenceMonitor:
     """Sequential stopping-rule state machine fed by one optimizer run.
 
     Feed ``observe(t, front_values)`` once per iteration (and once with
-    t=0 for the initial archive). Keeps only the snapshots needed for
-    pending front comparisons; the full aggregate trace is retained for
+    t=0 for the initial archive). Keeps only the fronts a later call compares
+    against, each with its own aggregate, and the full aggregate trace for
     export. ``STOP`` means the threshold held; the iteration cap is the
     caller's, so a run that ends at its cap never saw ``STOP``.
     """
@@ -187,7 +163,7 @@ class ConvergenceMonitor:
     def __init__(self, cfg):
         self.cfg = cfg
         self.trace = DistanceTrace()
-        self._snapshots = {}  # iteration -> front a later call compares against
+        self._snapshots = {}  # iteration -> (front, its aggregate or None)
         # None until a relative threshold resolves on the first aggregate
         self.effective_threshold = (
             None if cfg.relative_threshold is not None else cfg.threshold
@@ -202,27 +178,26 @@ class ConvergenceMonitor:
         )
 
     def observe(self, t, front_values):
-        """Record the archive image at iteration t; returns STOP iff
-        ``should_stop`` holds at t, else CONTINUE."""
+        """Record the archive image at iteration t; returns STOP iff its
+        aggregate is within the effective threshold of the one stored with
+        the front of iteration t-h, else CONTINUE."""
         snap = FrontSnapshot(t, np.asarray(front_values, dtype=float))
-        h = self.cfg.step
-        prev = self._snapshots.pop(t - h, None)
-        if self.cfg.cadence == "every_iteration" or t % h == 0:
-            self._snapshots[t] = snap
-        if prev is None:
+        cfg = self.cfg
+        prev, prev_dist = self._snapshots.pop(t - cfg.step, (None, None))
+        dist = None
+        if prev is not None:
+            dist_raw, z = aggregate(relative_distances(snap, prev))
+            if cfg.normalized:
+                dist, _ = aggregate(relative_distances(*self._normalize(snap, prev)))
+            else:
+                dist = dist_raw
+            self.trace.records.append(TraceRecord(t, snap.size, z, dist, dist_raw))
+            if self.effective_threshold is None:
+                self.effective_threshold = cfg.relative_threshold * dist[cfg.mode]
+        if cfg.cadence == "every_iteration" or t % cfg.step == 0:
+            self._snapshots[t] = (snap, dist)
+        if prev_dist is None:
             return self.CONTINUE
-        dist_raw, z = aggregate(relative_distances(snap, prev))
-        if self.cfg.normalized:
-            dist, _ = aggregate(relative_distances(*self._normalize(snap, prev)))
-        else:
-            dist = dist_raw
-        self.trace.append(
-            TraceRecord(
-                iteration=t, n_points=snap.size, z=z, dist=dist, dist_raw=dist_raw
-            )
-        )
-        if self.effective_threshold is None:
-            self.effective_threshold = self.cfg.relative_threshold * dist[self.cfg.mode]
-        if should_stop(self.trace, self.cfg, self.effective_threshold):
+        if abs(dist[cfg.mode] - prev_dist[cfg.mode]) <= self.effective_threshold:
             return self.STOP
         return self.CONTINUE

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -218,6 +220,8 @@ def run_monte_carlo(cfg, jobs=1):
     Trials are fully independent; with jobs > 1 they run in separate
     processes, results keyed by trial index either way.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     seeds = [cfg.base_seed + i for i in range(cfg.trials)]
     if jobs > 1 and cfg.trials > 1:
         # the fork start method launches every worker at the first submit
@@ -382,6 +386,18 @@ def _config_echo(cfg):
     }
 
 
+def _remove_stale(directory, pattern, written):
+    """Delete the entries of ``directory`` named like ``pattern`` but not in
+    ``written``: what an earlier export left and this one does not write."""
+    for name in os.listdir(directory):
+        if name not in written and re.fullmatch(pattern, name):
+            path = os.path.join(directory, name)
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            else:
+                os.remove(path)
+
+
 def export_run(result, cfg, directory, include_timings=False):
     """Write one run's fronts, trace, summary, and c-ratio table.
 
@@ -391,6 +407,9 @@ def export_run(result, cfg, directory, include_timings=False):
     os.makedirs(directory, exist_ok=True)
     fronts = dict(result.snapshots)
     fronts[result.iterations_run] = result.final_front
+    c_ratio = {"c_ratio.csv"} if result.final_front.values.shape[1] == 2 else set()
+    written = c_ratio | {f"front_t{it}.csv" for it in fronts}
+    _remove_stale(directory, r"front_t[1-9]\d*\.csv|c_ratio\.csv", written)
     for it, front in sorted(fronts.items()):
         if not _front_is_clean(front.values):
             raise RuntimeError(f"exported front at iteration {it} is not a Pareto set")
@@ -398,7 +417,7 @@ def export_run(result, cfg, directory, include_timings=False):
     write_trace_csv(os.path.join(directory, "trace.csv"), result.trace)
 
     report = None
-    if result.final_front.values.shape[1] == 2:
+    if c_ratio:
         report = c_ratio_report({it: f.values for it, f in fronts.items()})
         write_c_ratio_csv(os.path.join(directory, "c_ratio.csv"), report)
 
@@ -428,6 +447,11 @@ def _write_json(path, obj):
 def export_monte_carlo(results, cfg, directory, include_timings=False):
     """Per-trial exports plus seed-pooled aggregates."""
     os.makedirs(directory, exist_ok=True)
+    pooled_its = [it for it in cfg.snapshot_iterations
+                  if any(it in r.snapshots for r in results)]
+    written = {f"trial_{i:04d}" for i in range(len(results))}
+    written |= {f"pooled_front_t{it}.csv" for it in pooled_its}
+    _remove_stale(directory, r"trial_\d{4,}|pooled_front_t[1-9]\d*\.csv", written)
     for i, result in enumerate(results):
         export_run(
             result,
@@ -468,16 +492,15 @@ def export_monte_carlo(results, cfg, directory, include_timings=False):
     )
 
     # pooled fronts per snapshot iteration, with the trial index leading
-    for it in cfg.snapshot_iterations:
+    for it in pooled_its:
         pooled = []
         for i, r in enumerate(results):
             if it in r.snapshots:
                 header, rows = _front_table(r.snapshots[it])
                 pooled += [[str(i)] + row for row in rows]
-        if pooled:
-            _write_csv(
-                os.path.join(directory, f"pooled_front_t{it}.csv"),
-                ["trial"] + header,
-                pooled,
-            )
+        _write_csv(
+            os.path.join(directory, f"pooled_front_t{it}.csv"),
+            ["trial"] + header,
+            pooled,
+        )
     return summary

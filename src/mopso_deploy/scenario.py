@@ -77,10 +77,10 @@ class RadarParams:
             raise ScenarioError(
                 f"gains length {g.size} does not match transmit_powers length {p.size}"
             )
-        if not np.all((p > 0) & (p < np.inf)):
-            raise ScenarioError("all transmit_powers must be finite and > 0")
-        if not np.all((g > 0) & (g < np.inf)):
-            raise ScenarioError("all gains must be finite and > 0")
+        for key, arr in (("transmit_powers", p), ("gains", g)):
+            for i, x in enumerate(arr.tolist()):
+                if not 0 < x < math.inf:
+                    raise ScenarioError(f"{key}[{i}] must be finite and > 0, got {x}")
         object.__setattr__(self, "transmit_powers", p)
         object.__setattr__(self, "gains", g)
 

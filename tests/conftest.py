@@ -73,6 +73,22 @@ def reference_relative_distances(new_values, old_values):
     return dist
 
 
+def reference_should_stop(records, cfg, threshold):
+    """The stop test as a scan of the trace records: true iff the latest
+    record and the one h iterations before it differ by at most
+    ``threshold`` in ``cfg.mode``. Records are in increasing iteration
+    order, so the one at t-h is among the last h+1. ``ConvergenceMonitor``
+    decides from the aggregate it stores with each front instead, and must
+    agree with this scan."""
+    if not records:
+        return False
+    cur = records[-1]
+    for prev in records[-cfg.step - 1 : -1]:
+        if prev.iteration == cur.iteration - cfg.step:
+            return abs(cur.dist[cfg.mode] - prev.dist[cfg.mode]) <= threshold
+    return False
+
+
 def reference_objective(scenario, flat):
     """The joint objective as one (J, C_i) pass per region: the form the
     fused kernel replaced, which it must match byte for byte."""

@@ -10,17 +10,15 @@ from conftest import (
     oracle_interval_distance,
     oracle_relative_distance,
     reference_relative_distances,
+    reference_should_stop,
 )
 from mopso_deploy.convergence import (
     ConvergenceConfig,
     ConvergenceMonitor,
-    DistanceTrace,
     FrontSnapshot,
-    TraceRecord,
     interval_distance,
     relative_distance,
     relative_distances,
-    should_stop,
 )
 from mopso_deploy.mopso import dominance, pareto_filter
 
@@ -173,31 +171,88 @@ class TestIntervalDistance:
                 assert dist >= 0
 
 
-def record(t, value, z=0, k=5):
-    dist = {m: value for m in ("max", "min", "avg")}
-    return TraceRecord(iteration=t, n_points=k, z=z, dist=dist, dist_raw=dist)
+def observe_all(cfg, values):
+    """Feed a monitor the single-point M=1 front (values[t],) at each t.
+
+    With one objective the aggregate at t is values[t] - values[t-h] when
+    that is positive (the newer point dominates the older) and 0 otherwise,
+    so chosen steps give chosen aggregates. Returns the monitor and the
+    decisions."""
+    monitor = ConvergenceMonitor(cfg)
+    return monitor, [monitor.observe(t, [(v,)]) for t, v in enumerate(values)]
 
 
-class TestShouldStop:
+def aggregates(monitor):
+    return [(r.iteration, r.dist["avg"]) for r in monitor.trace.records]
+
+
+class TestMonitorStop:
     CFG = ConvergenceConfig(step=5, threshold=2.5e-4)
 
     def test_small_difference_stops(self):
-        trace = DistanceTrace([record(5, 0.0100), record(10, 0.0101)])
-        assert should_stop(trace, self.CFG)
+        monitor, decisions = observe_all(self.CFG, [0.0] * 5 + [0.01] * 5 + [0.0201])
+        assert aggregates(monitor) == [(5, 0.01), (10, pytest.approx(0.0101))]
+        assert decisions[10] == ConvergenceMonitor.STOP
 
-    def test_single_record_never_stops(self):
-        assert not should_stop(DistanceTrace([record(5, 0.01)]), self.CFG)
+    def test_single_aggregate_never_stops(self):
+        # any two aggregates pass an infinite threshold: only the second stops
+        cfg = ConvergenceConfig(step=5, threshold=math.inf)
+        monitor, decisions = observe_all(cfg, [0.0] * 5 + [1.0] * 5 + [1.5])
+        assert [r.iteration for r in monitor.trace.records] == [5, 10]
+        assert ConvergenceMonitor.STOP not in decisions[:10]
+        assert decisions[10] == ConvergenceMonitor.STOP
 
     def test_large_difference_continues(self):
-        trace = DistanceTrace([record(5, 0.1), record(10, 0.5)])
-        assert not should_stop(trace, self.CFG)
+        monitor, decisions = observe_all(self.CFG, [0.0] * 5 + [0.1] * 5 + [0.6])
+        assert aggregates(monitor) == [(5, 0.1), (10, 0.5)]
+        assert ConvergenceMonitor.STOP not in decisions
 
-    def test_compares_with_h_iterations_back(self):
-        # every-iteration records: t=10 is compared with t=5, not with t=9
-        trace = DistanceTrace([record(t, 0.01 * t) for t in range(5, 11)])
-        assert not should_stop(trace, self.CFG)
-        assert should_stop(trace, self.CFG, threshold=0.05)
-        assert not should_stop(trace, self.CFG, threshold=0.0499)
+    @pytest.mark.parametrize(
+        "threshold, decision",
+        [(2.5e-4, ConvergenceMonitor.CONTINUE), (0.05, ConvergenceMonitor.STOP),
+         (0.0499, ConvergenceMonitor.CONTINUE)],
+    )
+    def test_compares_with_h_iterations_back(self, threshold, decision):
+        # aggregates 0.05, 0.06, ..., 0.09, 0.1 at t = 5..10, each exact:
+        # t=10 is compared with t=5 (difference exactly 0.05), not with t=9
+        cfg = ConvergenceConfig(step=5, threshold=threshold, cadence="every_iteration")
+        values = [-0.05, -0.06, -0.07, -0.08, -0.09] + [0.0] * 5 + [0.1]
+        monitor, decisions = observe_all(cfg, values)
+        assert aggregates(monitor) == [(t, t / 100) for t in range(5, 11)]
+        assert decisions == [ConvergenceMonitor.CONTINUE] * 10 + [decision]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["every_h", "every_iteration"]),
+        st.booleans(),
+        st.integers(1, 4),
+        st.sampled_from(["max", "min", "avg"]),
+        st.sampled_from([(0.0, None), (0.05, None), (math.inf, None), (0.0, 0.0),
+                         (0.0, 0.5), (0.0, 2.0)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_equal_trace_scan(
+        self, seed, cadence, normalized, h, mode, thresholds
+    ):
+        threshold, relative = thresholds
+        cfg = ConvergenceConfig(
+            step=h, threshold=threshold, mode=mode, cadence=cadence,
+            normalized=normalized, relative_threshold=relative,
+        )
+        monitor = ConvergenceMonitor(cfg)
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        # coarse values on a slow drift: fronts repeat and aggregates tie
+        for t in range(int(rng.integers(1, 30))):
+            values = np.round(rng.uniform(size=(int(rng.integers(1, 6)), m)) * 4) / 4
+            values += t // 4
+            n_records = len(monitor.trace.records)
+            decision = monitor.observe(t, values)
+            records = monitor.trace.records
+            expected = len(records) > n_records and reference_should_stop(
+                records, cfg, monitor.effective_threshold
+            )
+            assert (decision == ConvergenceMonitor.STOP) == expected
 
 
 class TestMonitor:

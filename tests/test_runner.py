@@ -86,6 +86,12 @@ def write_experiment(config_dir, name="exp.json", **overrides):
     return path
 
 
+def tree(root):
+    """Relative path -> bytes of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+            if p.is_file()}
+
+
 class TestLoadExperiment:
     def test_round_trip_and_defaults(self, config_dir):
         cfg = load_experiment(write_experiment(config_dir))
@@ -528,6 +534,27 @@ class TestCli:
         assert (key if isinstance(key, str) else parents[-1]) in err["message"]
 
     @pytest.mark.parametrize(
+        "path, value, message",
+        [(("radar", "powers_w", 1), -1.0,
+          "transmit_powers[1] must be finite and > 0, got -1.0"),
+         (("radar", "gains", 1), {"value": 0, "unit": "linear"},
+          "gains[1] must be finite and > 0, got 0.0")],
+        ids=["power-negative", "gain-zero"],
+    )
+    def test_out_of_range_radar_entry_exit_2(self, config_dir, capsys, path, value,
+                                             message):
+        doc = copy.deepcopy(TINY_SCENARIO)
+        *parents, key = path
+        owner = doc
+        for parent in parents:
+            owner = owner[parent]
+        owner[key] = value
+        (config_dir / "tiny_scenario.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(write_experiment(config_dir))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and message in err["message"]
+
+    @pytest.mark.parametrize(
         "file, path, named",
         [("experiment", ("mopso", "v_max"), "v_max"),
          ("experiment", ("mopso", "inertia"), "inertia"),
@@ -568,6 +595,43 @@ class TestCli:
         assert main(["run", "--config", str(path), *args]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "base_seed" in err["message"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_mc_jobs_below_one_exit_2(self, config_dir, monkeypatch, capsys, jobs):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("no trial and no worker may start")
+
+        monkeypatch.setattr("mopso_deploy.runner.ProcessPoolExecutor", no_trial)
+        monkeypatch.setattr("mopso_deploy.runner.run_single", no_trial)
+        path = write_experiment(config_dir)
+        assert main(["mc", "--config", str(path), "--jobs", jobs]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "jobs" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, leftover", [("run", "front_t4.csv"), ("mc", "trial_0003")]
+    )
+    def test_reused_out_matches_fresh_out(self, config_dir, tmp_path, command, leftover):
+        # A writes fronts, pooled fronts and trials that B does not; B has
+        # three objectives, so it writes no c_ratio.csv either
+        scenario = copy.deepcopy(TINY_SCENARIO)
+        third = copy.deepcopy(scenario["regions"][0])
+        third["bounds"].update(x_min=700, x_max=900)
+        scenario["regions"].append(third)
+        (config_dir / "tri_scenario.json").write_text(json.dumps(scenario))
+        a = write_experiment(config_dir, "a.json", trials=4, halt_on_stop=False,
+                             snapshot_iterations=[4, 8, 12, 20])
+        b = write_experiment(config_dir, "b.json", scenario="tri_scenario.json")
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for out in (reused, fresh):
+            out.mkdir()
+            (out / "notes.txt").write_text("not an export\n")
+        assert main([command, "--config", str(a), "--out", str(reused)]) == 0
+        assert (reused / leftover).exists()
+        for out in (reused, fresh):
+            assert main([command, "--config", str(b), "--out", str(out)]) == 0
+        assert tree(reused) == tree(fresh)
+        assert (reused / "notes.txt").read_text() == "not an export\n"
 
     def test_unresolved_relative_threshold_exports_null(self, config_dir, tmp_path):
         # the cap (4) comes before the first aggregate (t = step = 5)
