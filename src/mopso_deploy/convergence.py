@@ -75,28 +75,37 @@ class ConvergenceConfig:
             raise ValueError("relative_threshold must be finite and non-negative")
 
 
-def relative_distances(front_t, front_prev):
-    """Per point of the newer front, the minimum distance to the older-front
-    points it dominates; 0 where it dominates none."""
+def candidate_pairs(new, old):
+    """(rows, cols) of the pairs with new >= old in every objective, row-major:
+    the only possible dominated pairs, between consecutive fronts a few per row."""
+    new_cols, old_cols = new.T.copy(), old.T.copy()  # contiguous columns
+    ge = np.greater_equal.outer(new_cols[0], old_cols[0])
+    for q in range(1, new.shape[1]):
+        ge &= np.greater_equal.outer(new_cols[q], old_cols[q])
+    return np.divmod(np.flatnonzero(ge), old.shape[0])
+
+
+def relative_distances(front_t, front_prev, pairs=None):
+    """Per newer-front point, the minimum distance to the older-front points it
+    dominates, 0 if none. ``pairs``: a row-major superset of ``candidate_pairs``."""
     new = front_t.values
     old = front_prev.values
-    dom = dominance(new[:, None, :], old[None, :, :])
-    # Squared distances on the (K, K') plane, added one objective at a time
-    # in objective order. That is the order of a per-pair loop, and the one
-    # numpy's add.reduce takes over fewer than eight objectives (from eight
-    # on it sums pairwise).
-    sq = np.subtract.outer(new[:, 0], old[:, 0])
-    sq *= sq
-    d = np.empty_like(sq)
+    if new.shape[1] != old.shape[1]:
+        raise ValueError(f"objective length mismatch: {new.shape} vs {old.shape}")
+    rows, cols = candidate_pairs(new, old) if pairs is None else pairs
+    a, b = new[rows], old[cols]
+    dom = dominance(a, b)
+    rows, diff = rows[dom], (a - b)[dom]
+    # squares added in objective order, as a per-pair loop and numpy's
+    # add.reduce over fewer than eight objectives add them
+    sq = diff[:, 0] * diff[:, 0]
     for q in range(1, new.shape[1]):
-        np.subtract.outer(new[:, q], old[:, q], out=d)
-        d *= d
-        sq += d
-    sq[~dom] = np.inf
+        sq += diff[:, q] * diff[:, q]
     # sqrt is correctly rounded, hence monotone: the root of the minimum
     # is the minimum of the roots, bit for bit
-    dist = np.sqrt(sq.min(axis=1))
-    dist[~dom.any(axis=1)] = 0.0
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    dist = np.zeros(new.shape[0])
+    dist[rows[starts]] = np.sqrt(np.minimum.reduceat(sq, starts))
     return dist
 
 
@@ -184,13 +193,15 @@ class ConvergenceMonitor:
         snap = FrontSnapshot(t, np.asarray(front_values, dtype=float))
         cfg = self.cfg
         prev, prev_dist = self._snapshots.pop(t - cfg.step, (None, None))
-        dist = None
+        dist = pairs = None
         if prev is not None:
-            dist_raw, z = aggregate(relative_distances(snap, prev))
-            if cfg.normalized:
-                dist, _ = aggregate(relative_distances(*self._normalize(snap, prev)))
-            else:
-                dist = dist_raw
+            if cfg.normalized:  # division by a positive span keeps each >=, so
+                # these pairs hold all the raw fronts' candidate pairs too
+                norm = self._normalize(snap, prev)
+                pairs = candidate_pairs(norm[0].values, norm[1].values)
+                dist, _ = aggregate(relative_distances(*norm, pairs))
+            dist_raw, z = aggregate(relative_distances(snap, prev, pairs))
+            dist = dist_raw if dist is None else dist
             self.trace.records.append(TraceRecord(t, snap.size, z, dist, dist_raw))
             if self.effective_threshold is None:
                 self.effective_threshold = cfg.relative_threshold * dist[cfg.mode]

@@ -18,7 +18,8 @@ array operations.
 
 Determinism contract: every stochastic draw flows from the single
 ``numpy.random.Generator`` passed in, so identical (seed, config,
-objective) reproduces the full trajectory bit for bit.
+objective) reproduces the full trajectory bit for bit. ``step`` needs that
+Generator to be PCG64-backed (``default_rng``'s); others raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -162,11 +163,11 @@ class ParetoArchive:
         """(K, D) array of the archive's decision vectors."""
         return self._positions.copy()
 
-    def _set(self, values, positions):
+    def _set(self, values, positions, crowding):
         self._values = values
         self._positions = positions
-        self.crowding = crowding_distances(values)
-        self._crowding = self.crowding.tolist()
+        self.crowding = crowding
+        self._crowding = crowding.tolist()
         if values.shape[1] == 2:
             by_f1 = values[np.argsort(values[:, 0], kind="stable")]
             self._f1 = by_f1[:, 0].tolist()
@@ -203,17 +204,21 @@ class ParetoArchive:
         comes from the caller's Generator.
         """
         value = np.asarray(value, dtype=float)
-        position = np.asarray(position, dtype=float)
         if not self.admits(value):
             return False  # dominated by a member
+        self._add(np.asarray(position, dtype=float), value, rng)
+        return True
+
+    def _add(self, position, value, rng):
+        """``insert`` of a candidate that ``admits`` has passed."""
         if not len(self):
             self._values = np.empty((0, value.size))
             self._positions = np.empty((0, position.size))
         kept = ~dominance(value, self._values)
         values = np.concatenate([self._values[kept], value[None]])
         positions = np.concatenate([self._positions[kept], position[None]])
+        crowding = crowding_distances(values)
         if self.capacity is not None and len(values) > self.capacity:
-            crowding = crowding_distances(values)
             minimal = np.flatnonzero(crowding == crowding.min())
             if minimal.size > 1:
                 if rng is None:
@@ -223,8 +228,8 @@ class ParetoArchive:
                 evict = int(minimal[0])
             kept = np.arange(len(values)) != evict
             values, positions = values[kept], positions[kept]
-        self._set(values, positions)
-        return True
+            crowding = crowding_distances(values)
+        self._set(values, positions, crowding)
 
 
 def select_leader(archive, rng):
@@ -249,6 +254,75 @@ def select_leader(archive, rng):
     else:
         k = i if rng.random() < 0.5 else j
     return archive._positions[k].copy()
+
+
+class _RawDraws:
+    """``step``'s draws, transformed from a PCG64's raw words as per-particle
+    ``select_leader`` and ``rng.random(2)`` calls transform them: with n >= 2
+    members one word gives both indices (Lemire's ``(u * n) >> 32`` on its
+    low then high half, or the buffered half then its low one), then a word
+    for a tie's double and one each for r1 and r2, ``(word >> 11) * 2**-53``.
+    ``end`` is (words used, buffered half) after the committed draws."""
+
+    def __init__(self, rng):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError("step draws from a PCG64 Generator")
+        self.rng = rng
+        self.restart()
+
+    def restart(self):  # at the generator's position
+        self.base, self.words = self.rng.bit_generator.state, []
+        self.end = (0, self.base["uinteger"])
+
+    def seek(self):  # put the generator at ``end``
+        bit_generator = self.rng.bit_generator
+        bit_generator.state = self.base
+        state = bit_generator.advance(self.end[0]).state  # clears the buffered half
+        state["has_uint32"], state["uinteger"] = self.base["has_uint32"], self.end[1]
+        bit_generator.state = state
+
+    def scalar(self, draw):  # ``draw()`` on the generator, from ``end``
+        self.seek()
+        out = draw()
+        self.restart()
+        return out
+
+    def choice(self, a):  # an eviction tie's ``rng.choice`` in ``ParetoArchive._add``
+        return self.scalar(lambda: self.rng.choice(a))
+
+    def window(self, archive, width):
+        """Leader rows, (r1, r2) rows and ends of the next ``width`` particles,
+        up to one whose index numpy redraws (odds n / 2**32), drawn alone by
+        the scalar calls if it is the first."""
+        n, crowd, half = len(archive), archive._crowding, self.base["has_uint32"]
+        if n == 0:
+            raise RuntimeError("cannot select a leader from an empty archive")
+        (at, uinteger), words = self.end, self.words
+        if at + 4 * width > len(words):  # 4 words cover any particle
+            words += self.rng.bit_generator.random_raw(4 * width + 128).tolist()
+        low, reject = 0xFFFFFFFF, (2**32 - n) % n  # redrawn: (u * n) & low < reject
+        leaders, r, ends = [], [], []
+        for _ in range(width):
+            k = 0
+            if n > 1:
+                word, at = words[at], at + 1
+                u, v = (uinteger, word & low) if half else (word & low, word >> 32)
+                uinteger, u, v = word >> 32, u * n, v * n
+                if (u & low) < reject or (v & low) < reject:
+                    break
+                i, j = u >> 32, v >> 32
+                k = i if crowd[i] > crowd[j] else j
+                if crowd[i] == crowd[j]:  # the double is < 0.5 iff word < 2**63
+                    k, at = (i if words[at] < 2**63 else j), at + 1
+            leaders.append(k)
+            r.append(((words[at] >> 11) * 2**-53, (words[at + 1] >> 11) * 2**-53))
+            at += 2
+            ends.append((at, uinteger))
+        if leaders:
+            return archive._positions[leaders], np.array(r), ends
+        rng = self.rng
+        leader, r = self.scalar(lambda: (select_leader(archive, rng), rng.random((1, 2))))
+        return leader[None], r, [self.end]
 
 
 def update_velocity(swarm, rows, leaders, r, cfg):
@@ -326,42 +400,33 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
     new point to the archive. Each leader comes from the archive as the
     previous particle left it.
 
-    The archive changes only when it admits a candidate, so particles are
-    updated in windows. A window's draws are made against the archive as
-    it is, its moves computed in one set of array operations, and its
-    objectives evaluated in order up to the first candidate the archive
-    admits. The particles up to that one are committed, the generator is
-    put back to its state after that particle's draws, the candidate is
-    inserted, and the next window starts after it. The first window is a
-    third of the swarm, each later one twice the run just committed.
-    A personal best is read only by its own particle's update, so the
-    committed particles' personal bests are updated in one call at the
-    end, not once per window: an admission, which ends a window, then
-    costs no update of its own. Arrays and generator end exactly as a
-    particle-by-particle loop leaves them; if the objective or the
-    archive raises, the particles committed before it are left updated
-    and the window's others as they were. Mutates ``swarm`` and
-    ``archive`` in place and returns them for convenience.
+    The archive changes only when it admits a candidate, so particles move
+    in windows: draws against the archive as it is (``_RawDraws``, which
+    needs a PCG64 Generator and relies on numpy's ``integers`` and
+    ``random`` transforms, as the per-particle oracle test checks), moves
+    in one set of array operations, objectives evaluated up to the first
+    admitted candidate, which is inserted. The next window starts after it,
+    redraws from the words its particle's draws left, and is twice as wide
+    as the run just committed (the first is a third of the swarm). Personal
+    bests are updated once, at the end: only their own particle reads them.
+    Arrays and generator end exactly as a particle-by-particle loop leaves
+    them; if the objective or the archive raises, the committed particles
+    are left updated and the window's others as they were. Mutates
+    ``swarm`` and ``archive`` in place and returns them for convenience.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n_particles = len(swarm)
-    leaders = np.empty_like(swarm.position)
-    r = np.empty((n_particles, 2))
     values = np.empty_like(swarm.best_value)
-    states = [None] * n_particles  # generator state after particle i's draws
+    draws = _RawDraws(rng)
     start, width = 0, max(1, n_particles // 3)
     try:
         while start < n_particles:
-            stop = min(n_particles, start + width)
-            for i in range(start, stop):
-                leaders[i] = select_leader(archive, rng)
-                rng.random(out=r[i])
-                states[i] = rng.bit_generator.state
-            window = slice(start, stop)
-            velocity = update_velocity(swarm, window, leaders[window], r[window], cfg)
+            leaders, r, ends = draws.window(archive, min(width, n_particles - start))
+            window = slice(start, start + len(r))
+            velocity = update_velocity(swarm, window, leaders, r, cfg)
             position = update_position(swarm, window, velocity, lower, upper)
-            for k in range(stop - start):
+            for k in range(len(r)):
                 values[start + k] = objective(position[k])
                 admitted = archive.admits(values[start + k])
                 if admitted:
@@ -369,10 +434,10 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
             done = slice(start, start + k + 1)
             swarm.velocity[done] = velocity[: k + 1]
             swarm.position[done] = position[: k + 1]
-            start, width = start + k + 1, 2 * (k + 1)
+            start, width, draws.end = start + k + 1, 2 * (k + 1), ends[k]
             if admitted:
-                rng.bit_generator.state = states[start - 1]
-                archive.insert(swarm.position[start - 1], values[start - 1], rng=rng)
+                archive._add(swarm.position[start - 1], values[start - 1], draws)
     finally:
+        draws.seek()
         update_personal_best(swarm, slice(0, start), values[:start])
     return swarm, archive

@@ -17,7 +17,6 @@ import os
 import re
 import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -224,6 +223,7 @@ def run_monte_carlo(cfg, jobs=1):
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     seeds = [cfg.base_seed + i for i in range(cfg.trials)]
     if jobs > 1 and cfg.trials > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms; not at import
         # the fork start method launches every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.trials)) as pool:
             results = list(pool.map(_run_trial, [(cfg, s) for s in seeds]))

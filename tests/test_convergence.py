@@ -16,11 +16,12 @@ from mopso_deploy.convergence import (
     ConvergenceConfig,
     ConvergenceMonitor,
     FrontSnapshot,
+    candidate_pairs,
     interval_distance,
     relative_distance,
     relative_distances,
 )
-from mopso_deploy.mopso import dominance, pareto_filter
+from mopso_deploy.mopso import ParetoArchive, dominance, pareto_filter
 
 
 def front(values, iteration=0):
@@ -102,6 +103,55 @@ class TestRelativeDistance:
         old = np.round(rng.normal(size=(k_old, m)), decimals) * scale
         new = np.round(rng.normal(0.5, 1.0, size=(k_new, m)), decimals) * scale
         got = relative_distances(front(new, 5), front(old, 0))
+        assert got.tobytes() == reference_relative_distances(new, old).tobytes()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3, 5]),
+        st.sampled_from([None, 4, 12, 40]),
+        st.integers(1, 8),
+        st.sampled_from([0, 1, 2]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_reference_on_consecutive_archive_fronts(
+        self, seed, m, capacity, inserts, decimals
+    ):
+        # consecutive archive images share most rows, so nearly every
+        # new >= old pair is an equal pair: the case the candidate-pair
+        # kernel is built for; rounding forces ties and duplicates
+        rng = np.random.default_rng(seed)
+        archive = ParetoArchive(capacity=capacity)
+
+        def offer(count):
+            for point in np.round(rng.normal(size=(count, m)), decimals):
+                archive.insert(point, point, rng=rng)
+
+        offer(60)
+        old = archive.values()
+        offer(inserts)
+        new = archive.values()
+        span = new.max(axis=0) - new.min(axis=0)
+        span = np.where(span > 0, span, 1.0)
+        for a, b in ((new, old), (new / span, old / span), (old, new)):
+            got = relative_distances(front(a, 5), front(b, 0))
+            assert got.tobytes() == reference_relative_distances(a, b).tobytes()
+        # division by a positive span keeps every >=, so the scaled fronts'
+        # candidate pairs hold the raw ones, as the monitor relies on
+        pairs = candidate_pairs(new / span, old / span)
+        got = relative_distances(front(new, 5), front(old, 0), pairs)
+        assert got.tobytes() == reference_relative_distances(new, old).tobytes()
+
+    def test_identical_fronts_all_zero(self):
+        values = [(0.0, 3.0, 1.0), (1.0, 2.0, 2.0), (3.0, 0.0, 0.5)]
+        got = relative_distances(front(values, 5), front(values, 0))
+        assert got.tobytes() == np.zeros(3).tobytes()
+
+    def test_one_row_changed(self):
+        old = np.array([(0.0, 3.0, 1.0), (1.0, 2.0, 2.0), (3.0, 0.0, 0.5)])
+        new = old.copy()
+        new[1] = (1.5, 2.0, 2.5)  # dominates only the row it replaced
+        got = relative_distances(front(new, 5), front(old, 0))
+        assert got.tolist() == [0.0, math.sqrt(0.5), 0.0]
         assert got.tobytes() == reference_relative_distances(new, old).tobytes()
 
 

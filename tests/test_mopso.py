@@ -11,6 +11,7 @@ from conftest import (
     reference_select_leader,
     reference_step,
 )
+from mopso_deploy import mopso
 from mopso_deploy.mopso import (
     MopsoConfig,
     ParetoArchive,
@@ -28,6 +29,8 @@ from mopso_deploy.mopso import (
 
 # objective values on a small integer grid, signed zero included
 GRID = st.one_of(st.integers(-2, 3).map(float), st.just(-0.0))
+# a finer grid: fewer ties, so more members are interior in every objective
+FINE = st.integers(-40, 40).map(lambda k: k / 8)
 
 
 def make_swarm(position, velocity=None, best=None, best_value=(1.0, 1.0)):
@@ -375,6 +378,28 @@ class TestArchive:
                 expected = not dominance(vals, np.array(probe)).any()
                 assert archive.admits(probe) == expected
 
+    @given(
+        st.lists(st.tuples(FINE, FINE, FINE) | st.tuples(GRID, GRID, GRID), max_size=60),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1, 2, 3, 4, 12]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_crowding_after_insert_is_a_fresh_pass(self, points, m, capacity, plane):
+        # the crowding _add hands to _set is that of the survivors, bit for
+        # bit. Points on the plane sum(f) = 0 never dominate each other, so
+        # the archive stays full and evicts interior members; capacities 1
+        # and 2 keep every member at +inf, so those evictions are ties.
+        archive = ParetoArchive(capacity=capacity)
+        rng = np.random.default_rng(0)
+        for n, point in enumerate(points):
+            value = point[:m]
+            if plane and m > 1:
+                value = (*point[: m - 1], -sum(point[: m - 1]))
+            archive.insert([float(n)], value, rng=rng)
+            vals = archive.values()
+            assert archive.crowding.tobytes() == crowding_distances(vals).tobytes()
+
 
 class TestLeaderSelection:
     def test_single_entry_always_returned(self, rng):
@@ -513,6 +538,26 @@ def assert_same_state(got, want):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def set_next_raw_word(rng, word, skip=0):
+    """Set the PCG64 ``rng`` so that raw word number ``skip`` it draws (from
+    0) is ``word``, with no 32-bit half buffered. A raw word is the XSL-RR
+    output of the state after an LCG step: pick the state's high half, undo
+    the rotation for the low half, then undo the step and ``skip`` more."""
+    state = rng.bit_generator.state
+    high = 0xDEADBEEF01234567  # its top 6 bits are the rotation
+    rot = high >> 58
+    xored = ((word << rot) | (word >> (64 - rot))) & (2**64 - 1)
+    after = (high << 64) | (xored ^ high)
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    state["state"]["state"] = (after - state["state"]["inc"]) * inverse % 2**128
+    state["has_uint32"], state["uinteger"] = 0, 0
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(-skip)
+
+
 class TestWindowedStep:
     LOWER = np.full(3, -5.0)
     UPPER = np.full(3, 5.0)
@@ -541,6 +586,93 @@ class TestWindowedStep:
             step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2])
             reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
             assert_same_state(got, want)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        swarm_size=st.integers(2, 16),
+        m=st.sampled_from([1, 2, 3]),
+        capacity=st.sampled_from([1, 2, 3, 8]),
+        scale=st.sampled_from([8.0, 60.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_particle_loop_with_ties(self, seed, swarm_size, m, capacity, scale):
+        # a coarse grid makes members tie in crowding, and capacities 1 and
+        # 2 keep every member at +inf: most tournaments draw a tie-break
+        # double, and most evictions draw from the generator, which moves
+        # its buffered 32-bit half
+        cfg = MopsoConfig(swarm_size=swarm_size, v_max=4.0, archive_capacity=capacity)
+        rng = np.random.default_rng(seed)
+        objective = grid_objective(rng.uniform(-5, 5, (m, 3)), scale=scale)
+        swarm, archive = init_swarm(objective, self.LOWER, self.UPPER, cfg, rng)
+        got = (swarm, archive, rng)
+        want = copy.deepcopy(got)
+        for _ in range(4):
+            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2])
+            reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
+            assert_same_state(got, want)
+
+    @pytest.mark.parametrize("skip", [0, 3], ids=["first_particle", "second_particle"])
+    def test_lemire_rejection_falls_back_to_scalar_draws(self, monkeypatch, skip):
+        # a leader index whose 32-bit draw is 0 is rejected by numpy's Lemire
+        # method whenever the archive size n is not a power of two, so numpy
+        # redraws; the generator is set to give that draw at word ``skip``:
+        # the first particle's index word, or the second's when the first
+        # has no crowding tie (index, r1 and r2 words before it)
+        cfg = MopsoConfig(swarm_size=8, v_max=1.0)
+        rng = np.random.default_rng(1)
+        swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        n = len(archive)
+        assert (2**32 - n) % n > 0
+        word = 0x9E3779B9 << 32  # low half 0: (0 * n) % 2**32 = 0 is rejected
+        set_next_raw_word(rng, word, skip)
+        assert copy.deepcopy(rng).bit_generator.random_raw(skip + 1)[-1] == word
+        scalar = []
+
+        def counted(archive, rng):
+            scalar.append(len(archive))
+            return select_leader(archive, rng)
+
+        monkeypatch.setattr(mopso, "select_leader", counted)
+        want = copy.deepcopy((swarm, archive, rng))
+        step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        reference_step(*want[:2], sphere_objectives, self.LOWER, self.UPPER, cfg, want[2])
+        assert scalar == [n]
+        assert_same_state((swarm, archive, rng), want)
+
+    def test_needs_a_pcg64_generator(self):
+        # the draws are numpy's transforms of PCG64 words; any other bit
+        # generator is refused before anything moves
+        cfg = MopsoConfig(swarm_size=4, v_max=1.0)
+        swarm, archive = init_swarm(
+            sphere_objectives, self.LOWER, self.UPPER, cfg, np.random.default_rng(0)
+        )
+        before = copy.deepcopy((swarm, archive))
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(TypeError, match="PCG64"):
+            step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        assert swarm.position.tobytes() == before[0].position.tobytes()
+        assert archive.values().tobytes() == before[1].values().tobytes()
+
+    def test_admits_once_per_candidate(self, monkeypatch):
+        # step inserts what its own admits test passed, without a second test
+        cfg = MopsoConfig(swarm_size=10, v_max=1.0, archive_capacity=4)
+        rng = np.random.default_rng(2)
+        swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        evaluated, tested = [], []
+        admits = ParetoArchive.admits
+
+        def counted(self, value):
+            tested.append(value)
+            return admits(self, value)
+
+        def objective(x):
+            evaluated.append(x)
+            return sphere_objectives(x)
+
+        monkeypatch.setattr(ParetoArchive, "admits", counted)
+        for _ in range(5):
+            step(swarm, archive, objective, self.LOWER, self.UPPER, cfg, rng)
+        assert len(tested) == len(evaluated) == 5 * cfg.swarm_size
 
     def test_dominated_non_finite_objective_raises(self):
         # the third particle's candidate has -inf in every objective: every

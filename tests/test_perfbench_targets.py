@@ -54,8 +54,13 @@ def test_traced_run_counts_every_layer(monkeypatch):
     calls = traced.stats["scenario.objective"].calls
     assert calls == (iterations + 1) * cfg.mopso.swarm_size
     assert traced.stats["mopso.step"].calls == iterations
-    # the layers a step attributes its work to keep seeing it: at least one
-    # leader per particle update (speculative redraws add more)
-    assert traced.stats["mopso.select_leader"].calls >= iterations * cfg.mopso.swarm_size
-    assert traced.stats["mopso.archive_insert"].calls > 0
-    assert traced.stats["mopso.update_personal_best"].calls > 0
+    # What the tracer still sees of a step: its velocity and position
+    # updates, one of each per window, and its one personal-best update.
+    # Its leader draws, admission tests and inserts (``_RawDraws.window``,
+    # ``ParetoArchive.admits`` and ``._add``) are not tracer targets, so
+    # they count as the step's own time; ``select_leader`` runs only after
+    # a Lemire rejection and ``ParetoArchive.insert`` only in init_swarm.
+    windows = traced.stats["mopso.update_velocity"].calls
+    assert windows >= iterations
+    assert traced.stats["mopso.update_position"].calls == windows
+    assert traced.stats["mopso.update_personal_best"].calls == iterations

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,7 +277,7 @@ class TestRunSingle:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("mopso_deploy.runner.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         doc = tiny_experiment_doc(trials=trials)
         cfg = experiment_from_dict(doc, base_dir=str(config_dir))
         results = run_monte_carlo(cfg, jobs=jobs)
@@ -601,7 +603,7 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("no trial and no worker may start")
 
-        monkeypatch.setattr("mopso_deploy.runner.ProcessPoolExecutor", no_trial)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_trial)
         monkeypatch.setattr("mopso_deploy.runner.run_single", no_trial)
         path = write_experiment(config_dir)
         assert main(["mc", "--config", str(path), "--jobs", jobs]) == 2
@@ -683,3 +685,15 @@ class TestCli:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "io"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only mc --jobs > 1 uses the pool, and importing it costs every command
+    # about 20 ms of startup
+    code = "import sys, mopso_deploy.cli; print('concurrent.futures.process' in sys.modules)"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
