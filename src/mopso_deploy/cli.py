@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import re
 import sys
@@ -99,6 +100,8 @@ def cmd_report(args):
         anchors = [float(a) for a in args.anchors.split(",")] if args.anchors else None
     except ValueError:
         raise ConfigError(f"--anchors must be numbers, got {args.anchors!r}") from None
+    if anchors and not all(map(math.isfinite, anchors)):
+        raise ConfigError(f"--anchors must be finite, got {args.anchors!r}")
     report = c_ratio_report(fronts, anchors=anchors)
     out = args.out or os.path.join(args.results, "c_ratio.csv")
     write_c_ratio_csv(out, report)

@@ -173,50 +173,45 @@ class ParetoArchive:
             self._f1 = by_f1[:, 0].tolist()
             self._f2 = by_f1[:, 1].tolist()
 
-    def admits(self, value):
-        """True iff no member dominates ``value``, the test ``insert`` applies.
+    def insert(self, position, value, rng=None):
+        """Insert a candidate; returns True if it entered the archive.
 
-        A NaN or infinite objective raises ``ValueError``: no member could
-        ever dominate a NaN, so it would stay for good.
+        A candidate some member dominates is rejected; the members it
+        dominates leave. A NaN or infinite objective raises ``ValueError``
+        (no member could ever dominate a NaN, so it would stay for good) and
+        leaves the archive unchanged; so does an eviction tie without
+        ``rng``: every draw comes from the caller's Generator.
         """
         value = np.asarray(value, dtype=float)
         # Python loops over M values cost less than numpy reductions
         flat = value.ravel().tolist()
         if not all(map(math.isfinite, flat)):
             raise ValueError(f"non-finite archive candidate value {value.tolist()}")
+        values, positions = self._values, self._positions
         if not len(self):
-            return True
-        if self._values.shape[1] != value.size:
+            values = np.empty((0, value.size))
+            positions = np.empty((0, np.size(position)))
+        elif values.shape[1] != value.size:
             raise ValueError("candidate objective length mismatch")
-        if self._f1 is None:
-            return not dominance(self._values, value).any()
-        a, b = flat  # the sorted-view test of the class docstring
-        f1, f2 = self._f1, self._f2
-        i = bisect_left(f1, a)
-        return i == len(f1) or not (f2[i] > b or (f2[i] == b and f1[i] > a))
-
-    def insert(self, position, value, rng=None):
-        """Insert a candidate; returns True if it entered the archive.
-
-        A candidate some member dominates is rejected. A NaN or infinite
-        one raises ``ValueError`` (see ``admits``) and leaves the archive
-        unchanged; so does an eviction tie without ``rng``: every draw
-        comes from the caller's Generator.
-        """
-        value = np.asarray(value, dtype=float)
-        if not self.admits(value):
-            return False  # dominated by a member
-        self._add(np.asarray(position, dtype=float), value, rng)
-        return True
-
-    def _add(self, position, value, rng):
-        """``insert`` of a candidate that ``admits`` has passed."""
-        if not len(self):
-            self._values = np.empty((0, value.size))
-            self._positions = np.empty((0, position.size))
-        kept = ~dominance(value, self._values)
-        values = np.concatenate([self._values[kept], value[None]])
-        positions = np.concatenate([self._positions[kept], position[None]])
+        if self._f1 is not None:  # the sorted-view test of the class docstring
+            a, b = flat
+            f1, f2 = self._f1, self._f2
+            i = bisect_left(f1, a)
+            if i < len(f1) and (f2[i] > b or (f2[i] == b and f1[i] > a)):
+                return False
+            kept = ~dominance(value, values)
+        else:  # ge: the member is >= value in every objective; gt: > in one
+            ge = values[:, 0] >= flat[0]
+            gt = values[:, 0] > flat[0]
+            for q in range(1, len(flat)):
+                ge &= values[:, q] >= flat[q]
+                gt |= values[:, q] > flat[q]
+            if (ge & gt).any():
+                return False
+            kept = ge | gt  # for finite values, value dominates a member iff neither
+        values = np.concatenate([values[kept], value[None]])
+        position = np.asarray(position, dtype=float)
+        positions = np.concatenate([positions[kept], position[None]])
         crowding = crowding_distances(values)
         if self.capacity is not None and len(values) > self.capacity:
             minimal = np.flatnonzero(crowding == crowding.min())
@@ -230,6 +225,7 @@ class ParetoArchive:
             values, positions = values[kept], positions[kept]
             crowding = crowding_distances(values)
         self._set(values, positions, crowding)
+        return True
 
 
 def select_leader(archive, rng):
@@ -287,7 +283,7 @@ class _RawDraws:
         self.restart()
         return out
 
-    def choice(self, a):  # an eviction tie's ``rng.choice`` in ``ParetoArchive._add``
+    def choice(self, a):  # an eviction tie's ``rng.choice`` in ``ParetoArchive.insert``
         return self.scalar(lambda: self.rng.choice(a))
 
     def window(self, archive, width):
@@ -411,7 +407,8 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
     bests are updated once, at the end: only their own particle reads them.
     Arrays and generator end exactly as a particle-by-particle loop leaves
     them; if the objective or the archive raises, the committed particles
-    are left updated and the window's others as they were. Mutates
+    are left updated, the window's others as they were and the generator
+    after the failing particle's draws, as that loop leaves it. Mutates
     ``swarm`` and ``archive`` in place and returns them for convenience.
     """
     lower = np.asarray(lower, dtype=float)
@@ -427,16 +424,14 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
             velocity = update_velocity(swarm, window, leaders, r, cfg)
             position = update_position(swarm, window, velocity, lower, upper)
             for k in range(len(r)):
+                draws.end = ends[k]  # an eviction tie draws from here
                 values[start + k] = objective(position[k])
-                admitted = archive.admits(values[start + k])
-                if admitted:
+                if archive.insert(position[k], values[start + k], draws):
                     break
             done = slice(start, start + k + 1)
             swarm.velocity[done] = velocity[: k + 1]
             swarm.position[done] = position[: k + 1]
-            start, width, draws.end = start + k + 1, 2 * (k + 1), ends[k]
-            if admitted:
-                archive._add(swarm.position[start - 1], values[start - 1], draws)
+            start, width = start + k + 1, 2 * (k + 1)
     finally:
         draws.seek()
         update_personal_best(swarm, slice(0, start), values[:start])

@@ -276,7 +276,9 @@ def c_ratio_report(snapshots, anchors=None):
     """Per-anchor interpolated objective-2 and its ratio to the final front.
 
     ``snapshots`` maps iteration -> (K, 2) objective arrays; the largest
-    iteration is the reference, where c = 100 by construction.
+    iteration is the reference, where c = 100 by construction. c is NaN
+    wherever the anchor lies outside the f1 range of the row's front or
+    of the reference.
     """
     iters = sorted(snapshots)
     if not iters:
@@ -292,12 +294,12 @@ def c_ratio_report(snapshots, anchors=None):
         ref = interpolate_front(final, anchor)
         for it in iters:
             val = interpolate_front(snapshots[it], anchor)
-            if it == iters[-1]:
-                c = 100.0
-            elif np.isnan(val) or np.isnan(ref) or ref == 0:
+            if np.isnan(val) or np.isnan(ref):  # the anchor is outside a front
                 c = float("nan")
+            elif it == iters[-1]:
+                c = 100.0
             else:
-                c = 100.0 * val / ref
+                c = 100.0 * val / ref if ref != 0 else float("nan")
             rows.append(CRatioRow(anchor=anchor, iteration=it, value=val, c_percent=c))
     return CRatioReport(anchors=tuple(anchors), rows=rows)
 
@@ -309,7 +311,7 @@ def c_ratio_report(snapshots, anchors=None):
 
 def _fmt(x):
     """17-significant-digit decimal, round-trip stable for float64."""
-    if isinstance(x, float) and np.isnan(x):
+    if x != x:  # NaN, as a Python or a numpy float
         return "nan"
     return format(float(x), ".17g")
 
@@ -332,7 +334,8 @@ def _front_table(front):
     header = [f"f{q + 1}" for q in range(values.shape[1])] + [
         f"{axis}{j + 1}" for j in range(positions.shape[1] // 2) for axis in ("x", "y")
     ]
-    rows = [[_fmt(x) for x in (*v, *p)] for v, p in zip(values, positions)]
+    pairs = zip(values.tolist(), positions.tolist())  # Python floats format faster
+    rows = [[_fmt(x) for x in (*v, *p)] for v, p in pairs]
     return header, rows
 
 

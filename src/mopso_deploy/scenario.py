@@ -229,12 +229,6 @@ def power_density(layout, cell, radar, min_separation):
     return float(_density_minima([cells], radar, min_separation)(pos)[0])
 
 
-def region_objective(layout, region, radar, min_separation):
-    """Minimum power density over all cells of one region."""
-    pos = _as_layout(layout, radar)
-    return float(_density_minima([region.cells], radar, min_separation)(pos)[0])
-
-
 def joint_objective(layout, scenario):
     """Objective vector: one region minimum per region, in scenario order."""
     return make_objective(scenario)(_as_layout(layout, scenario.radar))

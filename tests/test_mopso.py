@@ -78,7 +78,7 @@ class TestDominates:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_mask_matches_oracle_on_caller_shapes(self, rng, m):
-        # the shapes of insert (M,)-(K, M), admits (K, M)-(M,),
+        # the shapes of insert (M,)-(K, M), its converse (K, M)-(M,),
         # update_personal_best (K, M)-(K, M) and pareto_filter/
         # relative_distances (K, 1, M)-(1, K', M); integer values force ties
         for _ in range(20):
@@ -313,27 +313,27 @@ class TestArchive:
         archive.insert([1.0], (0.0, 2.0))
         before = (archive.values(), archive.positions(), archive.crowding)
         with pytest.raises(ValueError, match="non-finite"):
-            archive.admits(bad)  # even when a member dominates it (-inf)
+            # even when a member dominates it (-inf)
+            copy.deepcopy(archive).insert([2.0], bad)
         with pytest.raises(ValueError, match="inf|nan"):
             archive.insert([2.0], bad)
         for kept, now in zip(
             before, (archive.values(), archive.positions(), archive.crowding)
         ):
             assert kept.tobytes() == now.tobytes()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             ParetoArchive().insert([2.0], bad)
-        with pytest.raises(ValueError):
-            ParetoArchive().admits(bad)
 
-    def test_admits_is_the_insert_test(self, rng):
-        # admits(v) is True exactly when insert(v) accepts; integer values
-        # force ties and duplicates
+    def test_insert_accepts_iff_no_member_dominates(self, rng):
+        # insert(v) accepts exactly when no member dominates v, on a copy as
+        # on the archive itself; integer values force ties and duplicates
         archive = ParetoArchive(capacity=5)
-        assert archive.admits((0.0, 0.0))
+        assert copy.deepcopy(archive).insert([0.0], (0.0, 0.0))
         for n in range(200):
             value = rng.integers(0, 5, size=2).astype(float)
             expected = not any(oracle_dominates(v, value) for v in archive.values())
-            assert archive.admits(value) == expected
+            probe = copy.deepcopy((archive, rng))
+            assert probe[0].insert([float(n)], value, rng=probe[1]) == expected
             assert archive.insert([float(n)], value, rng=rng) == expected
 
     @given(
@@ -376,7 +376,36 @@ class TestArchive:
             assert view.tobytes() == np.array(by_f1).tobytes()
             for probe in [point, *probes]:
                 expected = not dominance(vals, np.array(probe)).any()
-                assert archive.admits(probe) == expected
+                trial, tie_rng = copy.deepcopy(archive), np.random.default_rng(1)
+                assert trial.insert([-1.0], probe, rng=tie_rng) == expected
+
+    @given(
+        st.lists(st.tuples(GRID, GRID, GRID, GRID), max_size=40),
+        st.lists(st.tuples(GRID, GRID, GRID, GRID), min_size=1, max_size=8),
+        st.sampled_from([1, 3, 4]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kept_mask_matches_dominance_mask(self, points, probes, m):
+        # objectives other than two keep the members that the admission
+        # test's own comparisons leave undominated: after an accepted insert
+        # into an unbounded archive, the members are exactly those
+        # ~dominance(value, members) keeps, in order, then the value. A small
+        # integer grid with -0.0 forces ties, duplicates and signed zeros
+        archive = ParetoArchive()
+        for n, point in enumerate(points):
+            archive.insert([float(n)], point[:m])
+            vals, positions = archive.values(), archive.positions()
+            for probe in [point, *probes]:
+                value = np.array(probe[:m], dtype=float)
+                trial = copy.deepcopy(archive)
+                if not trial.insert([-1.0], value):
+                    assert dominance(vals, value).any()
+                    assert trial.values().tobytes() == vals.tobytes()
+                    continue
+                kept = ~dominance(value, vals)
+                want = np.concatenate([vals[kept], value[None]])
+                assert trial.values().tobytes() == want.tobytes()
+                assert trial.positions().tolist() == [*positions[kept].tolist(), [-1.0]]
 
     @given(
         st.lists(st.tuples(FINE, FINE, FINE) | st.tuples(GRID, GRID, GRID), max_size=60),
@@ -386,7 +415,7 @@ class TestArchive:
     )
     @settings(max_examples=300, deadline=None)
     def test_crowding_after_insert_is_a_fresh_pass(self, points, m, capacity, plane):
-        # the crowding _add hands to _set is that of the survivors, bit for
+        # the crowding insert hands to _set is that of the survivors, bit for
         # bit. Points on the plane sum(f) = 0 never dominate each other, so
         # the archive stays full and evicts interior members; capacities 1
         # and 2 keep every member at +inf, so those evictions are ties.
@@ -653,23 +682,24 @@ class TestWindowedStep:
         assert swarm.position.tobytes() == before[0].position.tobytes()
         assert archive.values().tobytes() == before[1].values().tobytes()
 
-    def test_admits_once_per_candidate(self, monkeypatch):
-        # step inserts what its own admits test passed, without a second test
+    def test_insert_once_per_candidate(self, monkeypatch):
+        # step offers every evaluated candidate to the archive once, through
+        # insert, which decides admission and removal in the same call
         cfg = MopsoConfig(swarm_size=10, v_max=1.0, archive_capacity=4)
         rng = np.random.default_rng(2)
         swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
         evaluated, tested = [], []
-        admits = ParetoArchive.admits
+        insert = ParetoArchive.insert
 
-        def counted(self, value):
+        def counted(self, position, value, rng=None):
             tested.append(value)
-            return admits(self, value)
+            return insert(self, position, value, rng)
 
         def objective(x):
             evaluated.append(x)
             return sphere_objectives(x)
 
-        monkeypatch.setattr(ParetoArchive, "admits", counted)
+        monkeypatch.setattr(ParetoArchive, "insert", counted)
         for _ in range(5):
             step(swarm, archive, objective, self.LOWER, self.UPPER, cfg, rng)
         assert len(tested) == len(evaluated) == 5 * cfg.swarm_size
@@ -695,11 +725,13 @@ class TestWindowedStep:
             with pytest.raises(ValueError, match="non-finite"):
                 stepper(*state[:2], objective, self.LOWER, self.UPPER, cfg, state[2])
             assert len(calls) == 3
-            left.append(state[0])
+            left.append(state)
         # the two particles before it are fully updated, personal bests
         # included, as the per-particle loop leaves them; no personal best
-        # after them has changed
-        got, want = left
+        # after them has changed, and the generator is past the third
+        # particle's draws in both
+        (got, _, got_rng), (want, _, want_rng) = left
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
         for name in ("position", "velocity", "best_position", "best_value"):
             assert getattr(got, name)[:2].tobytes() == getattr(want, name)[:2].tobytes()
         for name in ("best_position", "best_value"):

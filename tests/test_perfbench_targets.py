@@ -47,6 +47,15 @@ def test_traced_run_counts_every_layer(monkeypatch):
         cfg, halt_on_stop=False, snapshot_iterations=(),
         mopso=replace(cfg.mopso, max_iterations=iterations),
     )
+    init_swarm, init_inserts = runner.init_swarm, []
+
+    def counted_init(*args):  # the tracer's inserts made while seeding the archive
+        before = traced.stats["mopso.archive_insert"].calls
+        out = init_swarm(*args)
+        init_inserts.append(traced.stats["mopso.archive_insert"].calls - before)
+        return out
+
+    monkeypatch.setattr(runner, "init_swarm", counted_init)
     with tracer.Tracer() as traced:
         result = runner.run_single(cfg, 42)
     assert traced.missing == []
@@ -54,13 +63,17 @@ def test_traced_run_counts_every_layer(monkeypatch):
     calls = traced.stats["scenario.objective"].calls
     assert calls == (iterations + 1) * cfg.mopso.swarm_size
     assert traced.stats["mopso.step"].calls == iterations
-    # What the tracer still sees of a step: its velocity and position
-    # updates, one of each per window, and its one personal-best update.
-    # Its leader draws, admission tests and inserts (``_RawDraws.window``,
-    # ``ParetoArchive.admits`` and ``._add``) are not tracer targets, so
-    # they count as the step's own time; ``select_leader`` runs only after
-    # a Lemire rejection and ``ParetoArchive.insert`` only in init_swarm.
+    # What the tracer sees of a step: its velocity and position updates,
+    # one of each per window, its one personal-best update, and one archive
+    # insert per candidate, which decides admission and removal. Its leader
+    # draws (``_RawDraws.window``) are not a tracer target, so they count as
+    # the step's own time; ``select_leader`` runs only after a Lemire
+    # rejection.
     windows = traced.stats["mopso.update_velocity"].calls
     assert windows >= iterations
     assert traced.stats["mopso.update_position"].calls == windows
     assert traced.stats["mopso.update_personal_best"].calls == iterations
+    inserts = traced.stats["mopso.archive_insert"]
+    assert init_inserts and 1 <= init_inserts[0] <= cfg.mopso.swarm_size
+    assert inserts.calls == iterations * cfg.mopso.swarm_size + init_inserts[0]
+    assert 0 < inserts.accepted < inserts.calls

@@ -308,6 +308,14 @@ class TestCRatio:
         final_rows = [r for r in report.rows if r.iteration == 30]
         assert [r.c_percent for r in final_rows] == [100.0]
 
+    def test_anchor_outside_final_front_is_nan_everywhere(self):
+        # f1 = 3 lies beyond both fronts: no row, the final one included,
+        # has a value or a ratio
+        report = c_ratio_report({10: self.FRONT_EARLY, 30: self.FRONT_FINAL},
+                                anchors=(3.0,))
+        assert [r.iteration for r in report.rows] == [10, 30]
+        assert all(math.isnan(r.value) and math.isnan(r.c_percent) for r in report.rows)
+
     def test_report_hand_value(self):
         # early front at f1=1 interpolates to -1; final to 1 -> c = -100 %
         report = c_ratio_report({10: self.FRONT_EARLY, 30: self.FRONT_FINAL},
@@ -663,6 +671,14 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", "--results", str(out), "--anchors", "abc"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("anchors", ["nan,inf", "1,-inf", "nan"])
+    def test_report_non_finite_anchors_exit_2(self, tmp_path, capsys, anchors):
+        (tmp_path / "front_t10.csv").write_text("f1,f2,x1,y1\n1,2,3,4\n")
+        assert main(["report", "--results", str(tmp_path), "--anchors", anchors]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "finite" in err["message"]
+        assert not (tmp_path / "c_ratio.csv").exists()
 
     @pytest.mark.parametrize(
         "content",
