@@ -15,11 +15,9 @@ exit 2 = configuration error, 3 = I/O error, 1 = internal error.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import replace
 
@@ -30,7 +28,7 @@ from .runner import (
     export_monte_carlo,
     export_run,
     load_experiment,
-    read_front_csv,
+    read_fronts,
     run_monte_carlo,
     run_single,
     write_c_ratio_csv,
@@ -82,20 +80,15 @@ def cmd_mc(args):
 
 
 def cmd_report(args):
-    pattern = os.path.join(args.results, "front_t*.csv")
-    fronts = {}
-    for path in glob.glob(pattern):
-        match = re.search(r"front_t(\d+)\.csv$", path)
-        if match:
-            try:
-                values, _ = read_front_csv(path)
-            except ValueError as exc:
-                raise ConfigError(f"malformed front file: {exc}") from None
-            if values.shape[1] != 2:
-                raise ConfigError(f"{path}: the c-ratio report needs f1,f2 fronts")
-            fronts[int(match.group(1))] = values
+    try:
+        fronts = read_fronts(args.results)
+    except ValueError as exc:
+        raise ConfigError(f"bad front file: {exc}") from None
     if not fronts:
-        raise ConfigError(f"no front_t*.csv files found in {args.results}")
+        raise ConfigError(f"no front_t{{N}}.csv files found in {args.results}")
+    for it, values in fronts.items():
+        if values.shape[1] != 2:
+            raise ConfigError(f"front_t{it}.csv: the c-ratio report needs f1,f2 fronts")
     try:
         anchors = [float(a) for a in args.anchors.split(",")] if args.anchors else None
     except ValueError:

@@ -127,7 +127,7 @@ class ParetoArchive:
     every mutation; when a bounded archive overflows, the member with the
     smallest crowding is evicted (ties broken uniformly at random). Each
     mutation replaces the arrays rather than writing into them, in
-    ``_set``, which also rebuilds the Python-float views below.
+    ``_set``, which also computes the crowding and the Python-float views.
 
     With two objectives ``_set`` keeps the members' values sorted by f1
     (``_f1`` ascending, ``_f2`` the matching f2). Members do not dominate
@@ -163,11 +163,11 @@ class ParetoArchive:
         """(K, D) array of the archive's decision vectors."""
         return self._positions.copy()
 
-    def _set(self, values, positions, crowding):
+    def _set(self, values, positions):
         self._values = values
         self._positions = positions
-        self.crowding = crowding
-        self._crowding = crowding.tolist()
+        self.crowding = crowding_distances(values)
+        self._crowding = self.crowding.tolist()
         if values.shape[1] == 2:
             by_f1 = values[np.argsort(values[:, 0], kind="stable")]
             self._f1 = by_f1[:, 0].tolist()
@@ -199,21 +199,20 @@ class ParetoArchive:
             i = bisect_left(f1, a)
             if i < len(f1) and (f2[i] > b or (f2[i] == b and f1[i] > a)):
                 return False
-            kept = ~dominance(value, values)
-        else:  # ge: the member is >= value in every objective; gt: > in one
-            ge = values[:, 0] >= flat[0]
-            gt = values[:, 0] > flat[0]
-            for q in range(1, len(flat)):
-                ge &= values[:, q] >= flat[q]
-                gt |= values[:, q] > flat[q]
-            if (ge & gt).any():
-                return False
-            kept = ge | gt  # for finite values, value dominates a member iff neither
+        # ge: the member is >= value in every objective; gt: > in one
+        ge = values[:, 0] >= flat[0]
+        gt = values[:, 0] > flat[0]
+        for q in range(1, len(flat)):
+            ge &= values[:, q] >= flat[q]
+            gt |= values[:, q] > flat[q]
+        if (ge & gt).any():
+            return False
+        kept = ge | gt  # for finite values, value dominates a member iff neither
         values = np.concatenate([values[kept], value[None]])
         position = np.asarray(position, dtype=float)
         positions = np.concatenate([positions[kept], position[None]])
-        crowding = crowding_distances(values)
         if self.capacity is not None and len(values) > self.capacity:
+            crowding = crowding_distances(values)
             minimal = np.flatnonzero(crowding == crowding.min())
             if minimal.size > 1:
                 if rng is None:
@@ -223,8 +222,7 @@ class ParetoArchive:
                 evict = int(minimal[0])
             kept = np.arange(len(values)) != evict
             values, positions = values[kept], positions[kept]
-            crowding = crowding_distances(values)
-        self._set(values, positions, crowding)
+        self._set(values, positions)
         return True
 
 

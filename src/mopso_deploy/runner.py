@@ -308,6 +308,9 @@ def c_ratio_report(snapshots, anchors=None):
 # Export
 # ---------------------------------------------------------------------------
 
+FRONT_FILE = r"front_t([1-9]\d*)\.csv"  # N >= 1, written without leading zeros
+_RUN_STALE = rf"{FRONT_FILE}|c_ratio\.csv"
+
 
 def _fmt(x):
     """17-significant-digit decimal, round-trip stable for float64."""
@@ -324,24 +327,22 @@ def _write_text(path, text):
         raise OSError(f"failed to write {path}: {exc}") from exc
 
 
-def _write_csv(path, header, rows):
-    _write_text(path, "".join(",".join(row) + "\n" for row in (header, *rows)))
+def _csv(header, rows):
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 
-def _front_table(front):
-    """Header and rows of a front: objective values, then the flat layout."""
+def _front_csv(front):
+    """front_t{iter}.csv: objective values then the flat decision vector."""
     values, positions = front.values, front.positions
     header = [f"f{q + 1}" for q in range(values.shape[1])] + [
         f"{axis}{j + 1}" for j in range(positions.shape[1] // 2) for axis in ("x", "y")
     ]
     pairs = zip(values.tolist(), positions.tolist())  # Python floats format faster
-    rows = [[_fmt(x) for x in (*v, *p)] for v, p in pairs]
-    return header, rows
+    return _csv(header, ([_fmt(x) for x in (*v, *p)] for v, p in pairs))
 
 
 def write_front_csv(path, front):
-    """front_t{iter}.csv: objective values then the flat decision vector."""
-    _write_csv(path, *_front_table(front))
+    _write_text(path, _front_csv(front))
 
 
 def read_front_csv(path):
@@ -360,21 +361,27 @@ def read_front_csv(path):
     return data[:, :m], data[:, m:]
 
 
-def write_trace_csv(path, trace):
-    rows = (
-        [str(rec.iteration), mode, _fmt(rec.dist[mode]), str(rec.z), str(rec.n_points)]
-        for rec in trace
-        for mode in MODES
-    )
-    _write_csv(path, ["t", "mode", "dist", "z", "K"], rows)
+def read_fronts(directory):
+    """FRONT_FILE fronts' objective values in ``directory`` (none if missing) by
+    iteration; ValueError for a malformed, non-finite or non-Pareto front."""
+    fronts = {}
+    for name in sorted(os.listdir(directory)) if os.path.isdir(directory) else ():
+        if match := re.fullmatch(FRONT_FILE, name):
+            values, _ = read_front_csv(os.path.join(directory, name))
+            if not (np.isfinite(values).all() and _front_is_clean(values)):
+                raise ValueError(f"{name}: the front is not a finite Pareto set")
+            fronts[int(match[1])] = values
+    return fronts
+
+
+def _c_ratio_csv(report):
+    rows = ([_fmt(r.anchor), str(r.iteration), _fmt(r.value), _fmt(r.c_percent)]
+            for r in report.rows)
+    return _csv(["anchor_f1", "iteration", "f2", "c_percent"], rows)
 
 
 def write_c_ratio_csv(path, report):
-    rows = (
-        [_fmt(r.anchor), str(r.iteration), _fmt(r.value), _fmt(r.c_percent)]
-        for r in report.rows
-    )
-    _write_csv(path, ["anchor_f1", "iteration", "f2", "c_percent"], rows)
+    _write_text(path, _c_ratio_csv(report))
 
 
 def _config_echo(cfg):
@@ -389,41 +396,53 @@ def _config_echo(cfg):
     }
 
 
-def _remove_stale(directory, pattern, written):
-    """Delete the entries of ``directory`` named like ``pattern`` but not in
-    ``written``: what an earlier export left and this one does not write."""
+def _write_tree(directory, files, stale_pattern):
+    """The only export code that touches disk. ``files`` maps a name to its
+    text, or to a run's file map for a trial subdirectory. Entries named like
+    ``stale_pattern`` that it lacks (an earlier export's) are deleted first,
+    and ``summary.json`` is written last."""
+    os.makedirs(directory, exist_ok=True)
     for name in os.listdir(directory):
-        if name not in written and re.fullmatch(pattern, name):
+        if name not in files and re.fullmatch(stale_pattern, name):
             path = os.path.join(directory, name)
             if os.path.isdir(path):
                 shutil.rmtree(path)
             else:
                 os.remove(path)
+    for name in sorted(files, key=lambda name: name == "summary.json"):
+        path, text = os.path.join(directory, name), files[name]
+        if isinstance(text, dict):
+            _write_tree(path, text, _RUN_STALE)
+        else:
+            _write_text(path, text)
 
 
 def export_run(result, cfg, directory, include_timings=False):
-    """Write one run's fronts, trace, summary, and c-ratio table.
+    """Write one run's files (``_run_files``); returns their {name: text} map."""
+    files = _run_files(result, cfg, include_timings)
+    _write_tree(directory, files, _RUN_STALE)
+    return files
+
+
+def _run_files(result, cfg, include_timings):
+    """One run's fronts, trace, summary, and c-ratio table, by file name.
 
     Timings vary between executions, so they are only written when
     requested; everything else is byte-stable for a fixed (config, seed).
     """
-    os.makedirs(directory, exist_ok=True)
     fronts = dict(result.snapshots)
     fronts[result.iterations_run] = result.final_front
-    c_ratio = {"c_ratio.csv"} if result.final_front.values.shape[1] == 2 else set()
-    written = c_ratio | {f"front_t{it}.csv" for it in fronts}
-    _remove_stale(directory, r"front_t[1-9]\d*\.csv|c_ratio\.csv", written)
+    files = {}
     for it, front in sorted(fronts.items()):
         if not _front_is_clean(front.values):
             raise RuntimeError(f"exported front at iteration {it} is not a Pareto set")
-        write_front_csv(os.path.join(directory, f"front_t{it}.csv"), front)
-    write_trace_csv(os.path.join(directory, "trace.csv"), result.trace)
-
-    report = None
-    if c_ratio:
+        files[f"front_t{it}.csv"] = _front_csv(front)
+    trace = ([str(rec.iteration), mode, _fmt(rec.dist[mode]), str(rec.z),
+              str(rec.n_points)] for rec in result.trace for mode in MODES)
+    files["trace.csv"] = _csv(["t", "mode", "dist", "z", "K"], trace)
+    if result.final_front.values.shape[1] == 2:
         report = c_ratio_report({it: f.values for it, f in fronts.items()})
-        write_c_ratio_csv(os.path.join(directory, "c_ratio.csv"), report)
-
+        files["c_ratio.csv"] = _c_ratio_csv(report)
     summary = {
         "seed": result.seed,
         "stop_iteration": result.stop_iteration,
@@ -434,8 +453,8 @@ def export_run(result, cfg, directory, include_timings=False):
     }
     if include_timings:
         summary["wall_time_s"] = result.wall_time
-    _write_json(os.path.join(directory, "summary.json"), summary)
-    return report
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return files
 
 
 def _front_is_clean(values):
@@ -443,25 +462,10 @@ def _front_is_clean(values):
     return len(pareto_filter(vals)) == vals.shape[0]
 
 
-def _write_json(path, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def export_monte_carlo(results, cfg, directory, include_timings=False):
-    """Per-trial exports plus seed-pooled aggregates."""
-    os.makedirs(directory, exist_ok=True)
-    pooled_its = [it for it in cfg.snapshot_iterations
-                  if any(it in r.snapshots for r in results)]
-    written = {f"trial_{i:04d}" for i in range(len(results))}
-    written |= {f"pooled_front_t{it}.csv" for it in pooled_its}
-    _remove_stale(directory, r"trial_\d{4,}|pooled_front_t[1-9]\d*\.csv", written)
-    for i, result in enumerate(results):
-        export_run(
-            result,
-            cfg,
-            os.path.join(directory, f"trial_{i:04d}"),
-            include_timings=include_timings,
-        )
+    """Per-trial exports plus seed-pooled aggregates; returns the summary."""
+    trials = [_run_files(r, cfg, include_timings) for r in results]
+    files = {f"trial_{i:04d}": run_files for i, run_files in enumerate(trials)}
 
     stops = np.array([r.stop_iteration for r in results], dtype=float)
     summary = {
@@ -478,7 +482,7 @@ def export_monte_carlo(results, cfg, directory, include_timings=False):
     }
     if include_timings:
         summary["wall_time_s"] = sum(r.wall_time for r in results)
-    _write_json(os.path.join(directory, "summary.json"), summary)
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
     # mean distance trace per evaluation iteration, per mode
     acc = {}
@@ -490,20 +494,15 @@ def export_monte_carlo(results, cfg, directory, include_timings=False):
         [str(t), mode, _fmt(float(np.mean(vals))), str(len(vals))]
         for (t, mode), vals in sorted(acc.items())
     )
-    _write_csv(
-        os.path.join(directory, "mean_trace.csv"), ["t", "mode", "mean_dist", "n"], rows
-    )
+    files["mean_trace.csv"] = _csv(["t", "mode", "mean_dist", "n"], rows)
 
-    # pooled fronts per snapshot iteration, with the trial index leading
-    for it in pooled_its:
-        pooled = []
-        for i, r in enumerate(results):
-            if it in r.snapshots:
-                header, rows = _front_table(r.snapshots[it])
-                pooled += [[str(i)] + row for row in rows]
-        _write_csv(
-            os.path.join(directory, f"pooled_front_t{it}.csv"),
-            ["trial"] + header,
-            pooled,
-        )
+    # pooled fronts per snapshot iteration: the trials' rows, trial index leading
+    for it in cfg.snapshot_iterations:
+        name = f"front_t{it}.csv"
+        pooled = [f"{i},{row}\n" for i, t in enumerate(trials) if name in t
+                  for row in t[name].splitlines()[1:]]
+        if pooled:
+            header = next(t[name] for t in trials if name in t).split("\n", 1)[0]
+            files[f"pooled_{name}"] = f"trial,{header}\n" + "".join(pooled)
+    _write_tree(directory, files, rf"trial_\d{{4,}}|pooled_{FRONT_FILE}")
     return summary

@@ -415,10 +415,11 @@ class TestArchive:
     )
     @settings(max_examples=300, deadline=None)
     def test_crowding_after_insert_is_a_fresh_pass(self, points, m, capacity, plane):
-        # the crowding insert hands to _set is that of the survivors, bit for
-        # bit. Points on the plane sum(f) = 0 never dominate each other, so
-        # the archive stays full and evicts interior members; capacities 1
-        # and 2 keep every member at +inf, so those evictions are ties.
+        # the crowding _set computes is that of the survivors, bit for bit,
+        # after an eviction too. Points on the plane sum(f) = 0 never
+        # dominate each other, so the archive stays full and evicts interior
+        # members; capacities 1 and 2 keep every member at +inf, so those
+        # evictions are ties.
         archive = ParetoArchive(capacity=capacity)
         rng = np.random.default_rng(0)
         for n, point in enumerate(points):

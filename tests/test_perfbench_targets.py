@@ -1,11 +1,13 @@
 """The benchmark's per-layer tracer patches functions by name; a renamed
 layer function must fail here rather than silently drop its metrics, and a
-traced run must complete with every layer counted."""
+traced run must complete with every layer counted. The exports must also
+pass the checks the benchmark runs on every operation's tree."""
 
 import ast
 import functools
 import importlib
 import importlib.util
+import json
 import pathlib
 import sys
 from dataclasses import replace
@@ -13,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from mopso_deploy import runner
+from mopso_deploy.scenario import joint_objective, scenario_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -77,3 +80,33 @@ def test_traced_run_counts_every_layer(monkeypatch):
     assert init_inserts and 1 <= init_inserts[0] <= cfg.mopso.swarm_size
     assert inserts.calls == iterations * cfg.mopso.swarm_size + init_inserts[0]
     assert 0 < inserts.accepted < inserts.calls
+
+
+def load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                                  ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize("kind", ["run-m2", "run-m3", "mc"])
+def test_exports_pass_the_benchmark_checks(tmp_path, kind):
+    cfg = runner.load_experiment(ROOT / "configs" / "desk_experiment.json")
+    cfg = replace(cfg, trials=2, snapshot_iterations=(5, 10),
+                  mopso=replace(cfg.mopso, swarm_size=10, max_iterations=15))
+    if kind == "run-m3":
+        doc = json.loads((ROOT / "configs" / "desk_scenario.json").read_text())
+        doc["regions"].append({"bounds": {"x_min": 45, "x_max": 60, "y_min": 45,
+                                          "y_max": 60, "unit": "km"},
+                               "grid": {"nx": 4, "ny": 4}})
+        cfg = replace(cfg, scenario=scenario_from_dict(doc))
+    if kind == "mc":
+        runner.export_monte_carlo(runner.run_monte_carlo(cfg), cfg, str(tmp_path))
+        assert list(tmp_path.glob("trial_0001/front_t*.csv"))
+        assert list(tmp_path.glob("pooled_front_t*.csv"))
+    else:
+        result = runner.run_single(cfg, 3)
+        runner.export_run(result, cfg, str(tmp_path))
+        assert result.final_front.values.shape[1] == (3 if kind == "run-m3" else 2)
+    assert load_checks().check_export(str(tmp_path), cfg.scenario, joint_objective) == []

@@ -5,10 +5,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mopso_deploy import runner
 from mopso_deploy.cli import main
 from mopso_deploy.convergence import FrontSnapshot
 from mopso_deploy.runner import (
@@ -392,6 +394,56 @@ class TestExport:
         assert summary["seeds"] == [7, 8]
         assert summary["stop_iteration"]["min"] <= summary["stop_iteration"]["max"]
 
+    def test_pooled_front_rows_are_trial_rows(self, config_dir, tmp_path):
+        doc = tiny_experiment_doc(trials=3)
+        cfg = experiment_from_dict(doc, base_dir=str(config_dir))
+        out = tmp_path / "mc"
+        export_monte_carlo(run_monte_carlo(cfg), cfg, str(out))
+        pooled = sorted(out.glob("pooled_front_t*.csv"))
+        assert pooled
+        for path in pooled:
+            header, *rows = path.read_text().splitlines()
+            want = []
+            for i in range(cfg.trials):
+                front = out / f"trial_{i:04d}" / path.name.removeprefix("pooled_")
+                if front.exists():
+                    front_header, *front_rows = front.read_text().splitlines()
+                    assert header == "trial," + front_header
+                    want += [f"{i},{row}" for row in front_rows]
+            assert want and rows == want
+
+    @pytest.mark.parametrize("kind", ["run", "mc"])
+    def test_failed_export_leaves_the_tree_untouched(self, config_dir, tmp_path,
+                                                     monkeypatch, kind):
+        # every file of B is formatted before the directory is touched, so a
+        # failure on B's last front leaves A's export as it was
+        cfg = experiment_from_dict(tiny_experiment_doc(), base_dir=str(config_dir))
+        out = tmp_path / kind
+
+        def export(seed):
+            seeded = replace(cfg, base_seed=seed)
+            if kind == "mc":
+                results = run_monte_carlo(seeded)
+                return results, lambda: export_monte_carlo(results, seeded, str(out))
+            results = [run_single(seeded, seed)]
+            return results, lambda: export_run(results[0], seeded, str(out))
+
+        export(4)[1]()
+        before = tree(out)
+        results, export_b = export(20)
+        last, clean = results[-1].final_front.values, runner._front_is_clean
+
+        def fails_on_last(values):
+            return clean(values) and not np.array_equal(values, last)
+
+        monkeypatch.setattr(runner, "_front_is_clean", fails_on_last)
+        with pytest.raises(RuntimeError, match="not a Pareto set"):
+            export_b()
+        assert tree(out) == before
+        monkeypatch.undo()
+        export_b()
+        assert tree(out) != before
+
 
 class TestCli:
     def test_run_subcommand(self, config_dir, tmp_path, capsys):
@@ -665,6 +717,21 @@ class TestCli:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "internal"
 
+    def test_report_missing_results_exit_2(self, tmp_path, capsys):
+        assert main(["report", "--results", str(tmp_path / "none")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "no front_t" in err["message"]
+
+    def test_report_reads_only_exported_front_names(self, tmp_path, capsys):
+        # an export writes front_t{N}.csv for N >= 1 without leading zeros;
+        # front_t010.csv would otherwise stand in for iteration 10 as well
+        (tmp_path / "front_t10.csv").write_text("f1,f2,x1,y1\n1,2,0,0\n2,1,0,0\n")
+        for name in ("front_t0.csv", "front_t010.csv"):
+            (tmp_path / name).write_text("f1,f2,x1,y1\n1,8,0,0\n2,6,0,0\n")
+        assert main(["report", "--results", str(tmp_path), "--anchors", "1.5"]) == 0
+        rows = (tmp_path / "c_ratio.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [["10", "1.5"]]
+
     def test_report_bad_anchors_exit_2(self, config_dir, tmp_path, capsys):
         out = tmp_path / "anchors"
         main(["run", "--config", str(write_experiment(config_dir)), "--out", str(out)])
@@ -681,15 +748,22 @@ class TestCli:
         assert not (tmp_path / "c_ratio.csv").exists()
 
     @pytest.mark.parametrize(
-        "content",
-        ["f1,f2,x1,y1\n", "f1,f2,x1,y1\n1,2,3\n", "f1,f2,x1,y1\n1,2,x,4\n",
-         "f1,f2,f3,x1,y1\n1,2,3,4,5\n"],
-        ids=["header_only", "short_row", "non_numeric", "three_objectives"],
+        "content, anchors",
+        [("f1,f2,x1,y1\n", []), ("f1,f2,x1,y1\n1,2,3\n", []),
+         ("f1,f2,x1,y1\n1,2,x,4\n", []), ("f1,f2,f3,x1,y1\n1,2,3,4,5\n", []),
+         # (2, 1) is dominated, and np.interp is undefined on the repeated f1
+         ("f1,f2,x1,y1\n1,5,0,0\n2,1,0,0\n2,4,0,0\n3,0,0,0\n",
+          ["--anchors", "2,2.5"]),
+         ("f1,f2,x1,y1\n1,2,0,0\nnan,1,0,0\n3,0,0,0\n", ["--anchors", "1.5,2.5"]),
+         ("f1,f2,x1,y1\n1,2,0,0\ninf,1,0,0\n", ["--anchors", "1.5"])],
+        ids=["header_only", "short_row", "non_numeric", "three_objectives",
+             "not_a_pareto_set", "nan_value", "infinite_value"],
     )
-    def test_report_bad_front_exit_2(self, tmp_path, capsys, content):
+    def test_report_bad_front_exit_2(self, tmp_path, capsys, content, anchors):
         (tmp_path / "front_t10.csv").write_text(content)
-        assert main(["report", "--results", str(tmp_path)]) == 2
+        assert main(["report", "--results", str(tmp_path), *anchors]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "c_ratio.csv").exists()
 
     def test_io_error_exit_3(self, config_dir, tmp_path, capsys):
         blocker = tmp_path / "blocked"
