@@ -86,19 +86,19 @@ def cmd_report(args):
         raise ConfigError(f"bad front file: {exc}") from None
     if not fronts:
         raise ConfigError(f"no front_t{{N}}.csv files found in {args.results}")
-    for it, values in fronts.items():
-        if values.shape[1] != 2:
-            raise ConfigError(f"front_t{it}.csv: the c-ratio report needs f1,f2 fronts")
     try:
         anchors = [float(a) for a in args.anchors.split(",")] if args.anchors else None
     except ValueError:
         raise ConfigError(f"--anchors must be numbers, got {args.anchors!r}") from None
     if anchors and not all(map(math.isfinite, anchors)):
         raise ConfigError(f"--anchors must be finite, got {args.anchors!r}")
-    report = c_ratio_report(fronts, anchors=anchors)
+    try:
+        anchors, rows = c_ratio_report(fronts, anchors=anchors)
+    except ValueError as exc:  # a front with other than two objectives
+        raise ConfigError(str(exc)) from None
     out = args.out or os.path.join(args.results, "c_ratio.csv")
-    write_c_ratio_csv(out, report)
-    print(f"report anchors={list(report.anchors)} -> {out}")
+    write_c_ratio_csv(out, rows)
+    print(f"report anchors={list(anchors)} -> {out}")
     return 0
 
 

@@ -10,8 +10,8 @@ by a crowding-distance tournament (Coello Coello, Pulido & Lechuga,
 IEEE TEVC 8(3), 2004; crowding distance from NSGA-II).
 
 State is array-backed: row i of every ``Swarm`` array belongs to
-particle i, and the archive keeps row-aligned value, position and
-crowding arrays. ``step`` keeps the asynchronous per-particle update
+particle i, and the archive keeps row-aligned value and position
+arrays and a crowding list. ``step`` keeps the asynchronous per-particle update
 (each leader is drawn from the archive as the previous particle left
 it) but moves runs of particles between archive changes with one set of
 array operations.
@@ -127,7 +127,8 @@ class ParetoArchive:
     every mutation; when a bounded archive overflows, the member with the
     smallest crowding is evicted (ties broken uniformly at random). Each
     mutation replaces the arrays rather than writing into them, in
-    ``_set``, which also computes the crowding and the Python-float views.
+    ``_set``, which also computes the crowding (Python floats, which the
+    leader draws index faster than an array) and the f1-sorted view.
 
     With two objectives ``_set`` keeps the members' values sorted by f1
     (``_f1`` ascending, ``_f2`` the matching f2). Members do not dominate
@@ -148,8 +149,7 @@ class ParetoArchive:
         self.capacity = capacity
         self._values = np.empty((0, 0))  # (K, M)
         self._positions = np.empty((0, 0))  # (K, D)
-        self.crowding = np.empty(0)  # (K,)
-        self._crowding = []  # crowding as Python floats, for select_leader
+        self.crowding = []  # (K,) Python floats
         self._f1 = self._f2 = None  # the f1-sorted view, when M == 2
 
     def __len__(self):
@@ -166,8 +166,7 @@ class ParetoArchive:
     def _set(self, values, positions):
         self._values = values
         self._positions = positions
-        self.crowding = crowding_distances(values)
-        self._crowding = self.crowding.tolist()
+        self.crowding = crowding_distances(values).tolist()
         if values.shape[1] == 2:
             by_f1 = values[np.argsort(values[:, 0], kind="stable")]
             self._f1 = by_f1[:, 0].tolist()
@@ -237,10 +236,8 @@ def select_leader(archive, rng):
         raise RuntimeError("cannot select a leader from an empty archive")
     if n == 1:
         return archive._positions[0].copy()
-    # two scalar draws: the stream of integers(0, n, size=2), at a third the cost
-    i = rng.integers(0, n)
-    j = rng.integers(0, n)
-    ci, cj = archive._crowding[i], archive._crowding[j]
+    i, j = rng.integers(0, n, size=2)
+    ci, cj = archive.crowding[i], archive.crowding[j]
     if ci > cj:
         k = i
     elif cj > ci:
@@ -288,7 +285,7 @@ class _RawDraws:
         """Leader rows, (r1, r2) rows and ends of the next ``width`` particles,
         up to one whose index numpy redraws (odds n / 2**32), drawn alone by
         the scalar calls if it is the first."""
-        n, crowd, half = len(archive), archive._crowding, self.base["has_uint32"]
+        n, crowd, half = len(archive), archive.crowding, self.base["has_uint32"]
         if n == 0:
             raise RuntimeError("cannot select a leader from an empty archive")
         (at, uinteger), words = self.end, self.words

@@ -140,14 +140,14 @@ def experiment_from_dict(doc, base_dir="."):
 
     try:
         _check_types(ExperimentConfig, doc)
-        snapshots = tuple(
-            doc.get("snapshot_iterations", [s for s in DEFAULT_SNAPSHOTS
-                                            if s <= mopso_cfg.max_iterations])
-        )
+        snapshots = doc.get("snapshot_iterations", [s for s in DEFAULT_SNAPSHOTS
+                                                    if s <= mopso_cfg.max_iterations])
+        if not isinstance(snapshots, list):
+            raise ValueError(f"snapshot_iterations must be a list, got {snapshots!r}")
         for i, s in enumerate(snapshots):
             json_value(s, "int", f"snapshot_iterations[{i}]", ValueError)
         options = {key: value for key, value in doc.items() if key not in sections}
-        options["snapshot_iterations"] = snapshots
+        options["snapshot_iterations"] = tuple(snapshots)
         return ExperimentConfig(scenario_path, scenario, mopso_cfg, conv_cfg, **options)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from None
@@ -260,20 +260,15 @@ class CRatioRow:
     c_percent: float
 
 
-@dataclass
-class CRatioReport:
-    anchors: tuple
-    rows: list
-
-
-def default_anchors(final_values, quantiles=(0.25, 0.5, 0.75)):
-    """Anchor objective-1 values at the given quantiles of the final front."""
+def default_anchors(final_values):
+    """Anchor objective-1 values at the quartiles of the final front."""
     f1 = np.asarray(final_values, dtype=float)[:, 0]
-    return tuple(float(np.quantile(f1, q)) for q in quantiles)
+    return tuple(float(np.quantile(f1, q)) for q in (0.25, 0.5, 0.75))
 
 
 def c_ratio_report(snapshots, anchors=None):
-    """Per-anchor interpolated objective-2 and its ratio to the final front.
+    """Per-anchor interpolated objective-2 and its ratio to the final front,
+    as (anchors, ``CRatioRow`` list).
 
     ``snapshots`` maps iteration -> (K, 2) objective arrays; the largest
     iteration is the reference, where c = 100 by construction. c is NaN
@@ -283,9 +278,10 @@ def c_ratio_report(snapshots, anchors=None):
     iters = sorted(snapshots)
     if not iters:
         raise ValueError("c_ratio_report needs at least one snapshot")
-    sample = np.atleast_2d(np.asarray(snapshots[iters[0]], dtype=float))
-    if sample.shape[1] != 2:
-        raise ValueError("c-ratio report is defined for bi-objective fronts only")
+    for it in iters:
+        if np.shape(snapshots[it])[1:] != (2,):
+            raise ValueError(f"c-ratio report is defined for bi-objective fronts only "
+                             f"(iteration {it}: shape {np.shape(snapshots[it])})")
     final = np.asarray(snapshots[iters[-1]], dtype=float)
     if anchors is None:
         anchors = default_anchors(final)
@@ -301,7 +297,7 @@ def c_ratio_report(snapshots, anchors=None):
             else:
                 c = 100.0 * val / ref if ref != 0 else float("nan")
             rows.append(CRatioRow(anchor=anchor, iteration=it, value=val, c_percent=c))
-    return CRatioReport(anchors=tuple(anchors), rows=rows)
+    return tuple(anchors), rows
 
 
 # ---------------------------------------------------------------------------
@@ -341,47 +337,34 @@ def _front_csv(front):
     return _csv(header, ([_fmt(x) for x in (*v, *p)] for v, p in pairs))
 
 
-def write_front_csv(path, front):
-    _write_text(path, _front_csv(front))
-
-
-def read_front_csv(path):
-    """Inverse of write_front_csv; returns (values, positions).
-
-    Raises ValueError unless the header is followed by at least one row of
-    as many numbers as it has columns.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        m = sum(1 for name in header if name.startswith("f"))
-        rows = [[float(tok) for tok in line.rstrip("\n").split(",")] for line in fh]
-    if not rows or any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path}: expected rows of {len(header)} numbers")
-    data = np.array(rows)
-    return data[:, :m], data[:, m:]
-
-
 def read_fronts(directory):
     """FRONT_FILE fronts' objective values in ``directory`` (none if missing) by
-    iteration; ValueError for a malformed, non-finite or non-Pareto front."""
+    iteration. ValueError for a malformed front (the header not followed by at
+    least one row of as many numbers as it has columns), a non-finite or a
+    non-Pareto one."""
     fronts = {}
     for name in sorted(os.listdir(directory)) if os.path.isdir(directory) else ():
         if match := re.fullmatch(FRONT_FILE, name):
-            values, _ = read_front_csv(os.path.join(directory, name))
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                header = fh.readline().rstrip("\n").split(",")
+                rows = [[float(tok) for tok in line.split(",")] for line in fh]
+            if not rows or any(len(row) != len(header) for row in rows):
+                raise ValueError(f"{name}: expected rows of {len(header)} numbers")
+            values = np.array(rows)[:, :sum(col.startswith("f") for col in header)]
             if not (np.isfinite(values).all() and _front_is_clean(values)):
                 raise ValueError(f"{name}: the front is not a finite Pareto set")
             fronts[int(match[1])] = values
     return fronts
 
 
-def _c_ratio_csv(report):
-    rows = ([_fmt(r.anchor), str(r.iteration), _fmt(r.value), _fmt(r.c_percent)]
-            for r in report.rows)
-    return _csv(["anchor_f1", "iteration", "f2", "c_percent"], rows)
+def _c_ratio_csv(rows):
+    lines = ([_fmt(r.anchor), str(r.iteration), _fmt(r.value), _fmt(r.c_percent)]
+             for r in rows)
+    return _csv(["anchor_f1", "iteration", "f2", "c_percent"], lines)
 
 
-def write_c_ratio_csv(path, report):
-    _write_text(path, _c_ratio_csv(report))
+def write_c_ratio_csv(path, rows):
+    _write_text(path, _c_ratio_csv(rows))
 
 
 def _config_echo(cfg):
@@ -418,10 +401,8 @@ def _write_tree(directory, files, stale_pattern):
 
 
 def export_run(result, cfg, directory, include_timings=False):
-    """Write one run's files (``_run_files``); returns their {name: text} map."""
-    files = _run_files(result, cfg, include_timings)
-    _write_tree(directory, files, _RUN_STALE)
-    return files
+    """Write one run's files (``_run_files``) into ``directory``."""
+    _write_tree(directory, _run_files(result, cfg, include_timings), _RUN_STALE)
 
 
 def _run_files(result, cfg, include_timings):
@@ -441,8 +422,8 @@ def _run_files(result, cfg, include_timings):
               str(rec.n_points)] for rec in result.trace for mode in MODES)
     files["trace.csv"] = _csv(["t", "mode", "dist", "z", "K"], trace)
     if result.final_front.values.shape[1] == 2:
-        report = c_ratio_report({it: f.values for it, f in fronts.items()})
-        files["c_ratio.csv"] = _c_ratio_csv(report)
+        _, rows = c_ratio_report({it: f.values for it, f in fronts.items()})
+        files["c_ratio.csv"] = _c_ratio_csv(rows)
     summary = {
         "seed": result.seed,
         "stop_iteration": result.stop_iteration,

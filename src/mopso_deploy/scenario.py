@@ -148,10 +148,6 @@ class Scenario:
         object.__setattr__(self, "regions", regions)
 
     @property
-    def n_regions(self):
-        return len(self.regions)
-
-    @property
     def n_antennas(self):
         return self.radar.n_antennas
 

@@ -96,7 +96,7 @@ def reference_objective(scenario, flat):
     coef = radar.transmit_powers * radar.gains / (4.0 * math.pi)
     min_sep2 = scenario.min_separation * scenario.min_separation
     pos = np.asarray(flat, dtype=float).reshape(-1, 2)
-    out = np.empty(scenario.n_regions)
+    out = np.empty(len(scenario.regions))
     for i, region in enumerate(scenario.regions):
         c = region.cells
         d2 = (pos[:, 0, None] - c[None, :, 0]) ** 2 + (

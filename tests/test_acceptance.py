@@ -2,12 +2,17 @@
 
 Each test checks one numbered acceptance criterion and prints a single
 ``[criterion N] ...: PASS/FAIL`` line. The heavy Monte Carlo fixtures
-are shared at module scope, so the whole gate runs in a few minutes.
+are shared at module scope and run their seeds on two worker processes
+(results are a function of config and seed), so the whole gate runs in
+about a minute.
 """
 
 import math
+import multiprocessing
 import pathlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from mopso_deploy.runner import (
     default_anchors,
     interpolate_front,
     load_experiment,
+    run_monte_carlo,
     run_single,
 )
 from mopso_deploy.scenario import RadarParams, power_density
@@ -73,8 +79,7 @@ def trend_runs(default_cfg):
         base_seed=BASE_SEED,
         snapshot_iterations=(10, 50, 100, 400, 1000),
     )
-    results = [run_single(cfg, BASE_SEED + i) for i in range(N_SEEDS)]
-    return cfg, results
+    return cfg, run_monte_carlo(cfg, jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +95,9 @@ def regression_runs(default_cfg):
         trials=N_SEEDS,
         base_seed=BASE_SEED,
     )
-    return [
-        run_single(cfg, BASE_SEED + i, keep_all_fronts=True) for i in range(N_SEEDS)
-    ]
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        seeds = [BASE_SEED + i for i in range(N_SEEDS)]
+        return list(pool.map(partial(run_single, cfg, keep_all_fronts=True), seeds))
 
 
 def _seed_anchor_c(result, at_front):

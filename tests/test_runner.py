@@ -22,10 +22,9 @@ from mopso_deploy.runner import (
     export_run,
     interpolate_front,
     load_experiment,
-    read_front_csv,
+    read_fronts,
     run_monte_carlo,
     run_single,
-    write_front_csv,
 )
 from mopso_deploy.scenario import ScenarioError, load_scenario
 
@@ -305,46 +304,53 @@ class TestCRatio:
         assert default_anchors(front) == pytest.approx((0.75, 1.5, 2.5))
 
     def test_report_final_is_exactly_100(self):
-        report = c_ratio_report({10: self.FRONT_EARLY, 30: self.FRONT_FINAL},
-                                anchors=(1.0,))
-        final_rows = [r for r in report.rows if r.iteration == 30]
+        _, rows = c_ratio_report({10: self.FRONT_EARLY, 30: self.FRONT_FINAL},
+                                 anchors=(1.0,))
+        final_rows = [r for r in rows if r.iteration == 30]
         assert [r.c_percent for r in final_rows] == [100.0]
 
     def test_anchor_outside_final_front_is_nan_everywhere(self):
         # f1 = 3 lies beyond both fronts: no row, the final one included,
         # has a value or a ratio
-        report = c_ratio_report({10: self.FRONT_EARLY, 30: self.FRONT_FINAL},
-                                anchors=(3.0,))
-        assert [r.iteration for r in report.rows] == [10, 30]
-        assert all(math.isnan(r.value) and math.isnan(r.c_percent) for r in report.rows)
+        anchors, rows = c_ratio_report({10: self.FRONT_EARLY, 30: self.FRONT_FINAL},
+                                       anchors=[3.0])
+        assert anchors == (3.0,) and [r.iteration for r in rows] == [10, 30]
+        assert all(math.isnan(r.value) and math.isnan(r.c_percent) for r in rows)
 
     def test_report_hand_value(self):
         # early front at f1=1 interpolates to -1; final to 1 -> c = -100 %
-        report = c_ratio_report({10: self.FRONT_EARLY, 30: self.FRONT_FINAL},
-                                anchors=(1.0,))
-        early = next(r for r in report.rows if r.iteration == 10)
+        _, rows = c_ratio_report({10: self.FRONT_EARLY, 30: self.FRONT_FINAL},
+                                 anchors=(1.0,))
+        early = next(r for r in rows if r.iteration == 10)
         assert early.value == pytest.approx(-1.0)
         assert early.c_percent == pytest.approx(-100.0)
 
     def test_three_objectives_rejected(self):
         with pytest.raises(ValueError, match="bi-objective"):
             c_ratio_report({1: [(1.0, 2.0, 3.0)]})
+        # only a later front has three objectives
+        with pytest.raises(ValueError, match="bi-objective"):
+            c_ratio_report({1: [(1, 2), (2, 1)], 2: [(1, 3, 9), (3, 1, 9)]}, anchors=(1.5,))
 
 
 class TestExport:
     def test_front_csv_round_trip(self, tmp_path, rng):
+        # read_fronts takes only Pareto sets: f1 rising with f2 falling
+        f1 = np.sort(rng.uniform(size=6))
         front = FrontSnapshot(
             iteration=7,
-            values=rng.uniform(size=(6, 2)),
+            values=np.column_stack([f1, 1.0 - f1 ** 2]),
             positions=rng.uniform(0, 1000, size=(6, 4)),
         )
         path = tmp_path / "front_t7.csv"
-        write_front_csv(path, front)
+        path.write_text(runner._front_csv(front))
         header = path.read_text().splitlines()[0]
         assert header == "f1,f2,x1,y1,x2,y2"
-        values, positions = read_front_csv(path)
-        np.testing.assert_array_equal(values, front.values)
-        np.testing.assert_array_equal(positions, front.positions)
+        fronts = read_fronts(tmp_path)
+        assert list(fronts) == [7]
+        np.testing.assert_array_equal(fronts[7], front.values)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(data[:, 2:], front.positions)
 
     def test_export_run_files(self, config_dir, tmp_path):
         cfg = experiment_from_dict(tiny_experiment_doc(), base_dir=str(config_dir))
@@ -538,6 +544,15 @@ class TestCli:
         code = main(["run", "--config", str(write_experiment(config_dir, trials="x"))])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("value", ["10", {"5": 1}, None],
+                             ids=["string", "object", "null"])
+    def test_snapshot_iterations_not_a_list_exit_2(self, config_dir, capsys, value):
+        path = write_experiment(config_dir, snapshot_iterations=value)
+        assert main(["run", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "snapshot_iterations must be a list" in err["message"]
 
     @pytest.mark.parametrize(
         "section, key, value",

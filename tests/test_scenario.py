@@ -374,7 +374,7 @@ class TestScenarioFile:
     def test_shipped_configs_load(self):
         for name in ("default_scenario.json", "desk_scenario.json"):
             sc = load_scenario(CONFIGS / name)
-            assert sc.n_antennas == 8 and sc.n_regions == 2
+            assert sc.n_antennas == 8 and len(sc.regions) == 2
         # the paper's geometry: a 70 km square, two 15 km regions on 20x20
         # grids, 8 antennas at 15 kW with 40 dB gain and a 100 m floor
         sc = load_scenario(CONFIGS / "default_scenario.json")
