@@ -18,8 +18,8 @@ array operations.
 
 Determinism contract: every stochastic draw flows from the single
 ``numpy.random.Generator`` passed in, so identical (seed, config,
-objective) reproduces the full trajectory bit for bit. ``step`` needs that
-Generator to be PCG64-backed (``default_rng``'s); others raise ``TypeError``.
+objective) reproduces the full trajectory bit for bit. Any Generator works:
+``step`` asks it only for ``random`` blocks and eviction-tie ``choice`` draws.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ class ParetoArchive:
     every mutation; when a bounded archive overflows, the member with the
     smallest crowding is evicted (ties broken uniformly at random). Each
     mutation replaces the arrays rather than writing into them, in
-    ``_set``, which also computes the crowding (Python floats, which the
-    leader draws index faster than an array) and the f1-sorted view.
+    ``_set``, which also computes the crowding (Python floats, which
+    ``select_leader`` indexes faster than an array) and the f1-sorted view.
 
     With two objectives ``_set`` keeps the members' values sorted by f1
     (``_f1`` ascending, ``_f2`` the matching f2). Members do not dominate
@@ -225,95 +225,26 @@ class ParetoArchive:
         return True
 
 
-def select_leader(archive, rng):
-    """Pick the swarm leader's position from the archive.
+def select_leader(archive, rows):
+    """Leader positions, one per row of tournament draws.
 
-    Binary tournament on crowding distance: two uniform draws (with
-    replacement), the larger crowding wins, ties broken uniformly.
+    Binary tournament on crowding distance: a row (u_i, u_j, u_tie) of
+    uniforms in [0, 1) picks members ``int(u_i * n)`` and ``int(u_j * n)``
+    (with replacement); the larger crowding wins, and on a tie the first
+    wins iff u_tie < 0.5. ``rows`` is a list of such rows; returns an
+    (len(rows), D) array.
     """
-    n = len(archive)
+    n, crowd = len(archive), archive.crowding
     if n == 0:
         raise RuntimeError("cannot select a leader from an empty archive")
-    if n == 1:
-        return archive._positions[0].copy()
-    i, j = rng.integers(0, n, size=2)
-    ci, cj = archive.crowding[i], archive.crowding[j]
-    if ci > cj:
-        k = i
-    elif cj > ci:
-        k = j
-    else:
-        k = i if rng.random() < 0.5 else j
-    return archive._positions[k].copy()
-
-
-class _RawDraws:
-    """``step``'s draws, transformed from a PCG64's raw words as per-particle
-    ``select_leader`` and ``rng.random(2)`` calls transform them: with n >= 2
-    members one word gives both indices (Lemire's ``(u * n) >> 32`` on its
-    low then high half, or the buffered half then its low one), then a word
-    for a tie's double and one each for r1 and r2, ``(word >> 11) * 2**-53``.
-    ``end`` is (words used, buffered half) after the committed draws."""
-
-    def __init__(self, rng):
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            raise TypeError("step draws from a PCG64 Generator")
-        self.rng = rng
-        self.restart()
-
-    def restart(self):  # at the generator's position
-        self.base, self.words = self.rng.bit_generator.state, []
-        self.end = (0, self.base["uinteger"])
-
-    def seek(self):  # put the generator at ``end``
-        bit_generator = self.rng.bit_generator
-        bit_generator.state = self.base
-        state = bit_generator.advance(self.end[0]).state  # clears the buffered half
-        state["has_uint32"], state["uinteger"] = self.base["has_uint32"], self.end[1]
-        bit_generator.state = state
-
-    def scalar(self, draw):  # ``draw()`` on the generator, from ``end``
-        self.seek()
-        out = draw()
-        self.restart()
-        return out
-
-    def choice(self, a):  # an eviction tie's ``rng.choice`` in ``ParetoArchive.insert``
-        return self.scalar(lambda: self.rng.choice(a))
-
-    def window(self, archive, width):
-        """Leader rows, (r1, r2) rows and ends of the next ``width`` particles,
-        up to one whose index numpy redraws (odds n / 2**32), drawn alone by
-        the scalar calls if it is the first."""
-        n, crowd, half = len(archive), archive.crowding, self.base["has_uint32"]
-        if n == 0:
-            raise RuntimeError("cannot select a leader from an empty archive")
-        (at, uinteger), words = self.end, self.words
-        if at + 4 * width > len(words):  # 4 words cover any particle
-            words += self.rng.bit_generator.random_raw(4 * width + 128).tolist()
-        low, reject = 0xFFFFFFFF, (2**32 - n) % n  # redrawn: (u * n) & low < reject
-        leaders, r, ends = [], [], []
-        for _ in range(width):
-            k = 0
-            if n > 1:
-                word, at = words[at], at + 1
-                u, v = (uinteger, word & low) if half else (word & low, word >> 32)
-                uinteger, u, v = word >> 32, u * n, v * n
-                if (u & low) < reject or (v & low) < reject:
-                    break
-                i, j = u >> 32, v >> 32
-                k = i if crowd[i] > crowd[j] else j
-                if crowd[i] == crowd[j]:  # the double is < 0.5 iff word < 2**63
-                    k, at = (i if words[at] < 2**63 else j), at + 1
-            leaders.append(k)
-            r.append(((words[at] >> 11) * 2**-53, (words[at + 1] >> 11) * 2**-53))
-            at += 2
-            ends.append((at, uinteger))
-        if leaders:
-            return archive._positions[leaders], np.array(r), ends
-        rng = self.rng
-        leader, r = self.scalar(lambda: (select_leader(archive, rng), rng.random((1, 2))))
-        return leader[None], r, [self.end]
+    leaders = []
+    for u_i, u_j, u_tie in rows:
+        i, j = int(u_i * n), int(u_j * n)
+        k = i if crowd[i] > crowd[j] else j
+        if crowd[i] == crowd[j]:
+            k = i if u_tie < 0.5 else j
+        leaders.append(k)
+    return archive._positions[leaders]
 
 
 def update_velocity(swarm, rows, leaders, r, cfg):
@@ -391,43 +322,44 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
     new point to the archive. Each leader comes from the archive as the
     previous particle left it.
 
+    Every draw of the iteration comes first, as one ``rng.random((N, 5))``
+    block: row i is particle i's (u_i, u_j, u_tie) tournament draws for
+    ``select_leader``, then its r1 and r2. An eviction tie in
+    ``ParetoArchive.insert`` draws from ``rng`` after the block.
+
     The archive changes only when it admits a candidate, so particles move
-    in windows: draws against the archive as it is (``_RawDraws``, which
-    needs a PCG64 Generator and relies on numpy's ``integers`` and
-    ``random`` transforms, as the per-particle oracle test checks), moves
-    in one set of array operations, objectives evaluated up to the first
-    admitted candidate, which is inserted. The next window starts after it,
-    redraws from the words its particle's draws left, and is twice as wide
-    as the run just committed (the first is a third of the swarm). Personal
-    bests are updated once, at the end: only their own particle reads them.
-    Arrays and generator end exactly as a particle-by-particle loop leaves
-    them; if the objective or the archive raises, the committed particles
-    are left updated, the window's others as they were and the generator
-    after the failing particle's draws, as that loop leaves it. Mutates
-    ``swarm`` and ``archive`` in place and returns them for convenience.
+    in windows: leaders selected against the archive as it is, moves in one
+    set of array operations, objectives evaluated up to the first admitted
+    candidate, which is inserted. The next window starts after it and is
+    twice as wide as the run just committed (the first is a third of the
+    swarm). Personal bests are updated once, at the end: only their own
+    particle reads them. Arrays and generator end exactly as a
+    particle-by-particle loop over the same block leaves them; if the
+    objective or the archive raises, the committed particles are left
+    updated and the window's others as they were, as that loop leaves them.
+    Mutates ``swarm`` and ``archive`` in place and returns them for
+    convenience.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n_particles = len(swarm)
     values = np.empty_like(swarm.best_value)
-    draws = _RawDraws(rng)
+    draws = rng.random((n_particles, 5))
     start, width = 0, max(1, n_particles // 3)
     try:
         while start < n_particles:
-            leaders, r, ends = draws.window(archive, min(width, n_particles - start))
-            window = slice(start, start + len(r))
-            velocity = update_velocity(swarm, window, leaders, r, cfg)
+            window = slice(start, min(start + width, n_particles))
+            leaders = select_leader(archive, draws[window, :3].tolist())
+            velocity = update_velocity(swarm, window, leaders, draws[window, 3:], cfg)
             position = update_position(swarm, window, velocity, lower, upper)
-            for k in range(len(r)):
-                draws.end = ends[k]  # an eviction tie draws from here
+            for k in range(len(position)):
                 values[start + k] = objective(position[k])
-                if archive.insert(position[k], values[start + k], draws):
+                if archive.insert(position[k], values[start + k], rng):
                     break
             done = slice(start, start + k + 1)
             swarm.velocity[done] = velocity[: k + 1]
             swarm.position[done] = position[: k + 1]
             start, width = start + k + 1, 2 * (k + 1)
     finally:
-        draws.seek()
         update_personal_best(swarm, slice(0, start), values[:start])
     return swarm, archive

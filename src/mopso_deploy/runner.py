@@ -347,7 +347,10 @@ def read_fronts(directory):
         if match := re.fullmatch(FRONT_FILE, name):
             with open(os.path.join(directory, name), encoding="utf-8") as fh:
                 header = fh.readline().rstrip("\n").split(",")
-                rows = [[float(tok) for tok in line.split(",")] for line in fh]
+                try:
+                    rows = [[float(tok) for tok in line.split(",")] for line in fh]
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
             if not rows or any(len(row) != len(header) for row in rows):
                 raise ValueError(f"{name}: expected rows of {len(header)} numbers")
             values = np.array(rows)[:, :sum(col.startswith("f") for col in header)]

@@ -107,33 +107,25 @@ def reference_objective(scenario, flat):
     return out
 
 
-def reference_select_leader(archive, rng):
-    """Crowding tournament with one size-2 draw, as the windowed step's
-    per-particle predecessor made it."""
-    n = len(archive)
-    if n == 1:
-        return archive.positions()[0]
-    i, j = rng.integers(0, n, size=2)
-    crowd = archive.crowding
-    if crowd[i] > crowd[j]:
-        k = i
-    elif crowd[j] > crowd[i]:
-        k = j
-    else:
-        k = i if rng.random() < 0.5 else j
-    return archive.positions()[k]
-
-
 def reference_step(swarm, archive, objective, lower, upper, cfg, rng):
-    """One MOPSO iteration as a plain per-particle loop: the form the
-    windowed step replaced, whose arrays and generator state it must
-    match byte for byte."""
+    """One MOPSO iteration as a plain per-particle loop over the same
+    ``rng.random((N, 5))`` block the windowed step draws: the form that step
+    replaced, whose arrays and generator state it must match byte for byte.
+    Row i is particle i's (u_i, u_j, u_tie, r1, r2)."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    draws = rng.random((len(swarm), 5))
     for i in range(len(swarm)):
-        leader = reference_select_leader(archive, rng)
-        r1 = rng.random()
-        r2 = rng.random()
+        u_i, u_j, u_tie, r1, r2 = draws[i].tolist()
+        n, crowd = len(archive), archive.crowding
+        a, b = int(u_i * n), int(u_j * n)
+        if crowd[a] > crowd[b]:
+            k = a
+        elif crowd[b] > crowd[a]:
+            k = b
+        else:
+            k = a if u_tie < 0.5 else b
+        leader = archive.positions()[k]
         x = swarm.position[i]
         v = (
             cfg.inertia * swarm.velocity[i]

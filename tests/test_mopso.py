@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from conftest import (
     oracle_dominates,
     oracle_pareto_indices,
-    reference_select_leader,
     reference_step,
 )
-from mopso_deploy import mopso
 from mopso_deploy.mopso import (
     MopsoConfig,
     ParetoArchive,
@@ -435,55 +433,60 @@ class TestLeaderSelection:
     def test_single_entry_always_returned(self, rng):
         archive = ParetoArchive()
         archive.insert([7.0], (1.0, 2.0))
-        for _ in range(5):
-            assert select_leader(archive, rng).tolist() == [7.0]
+        assert select_leader(archive, rng.random((5, 3)).tolist()).tolist() == [[7.0]] * 5
 
     def test_empty_archive_raises(self, rng):
         with pytest.raises(RuntimeError):
-            select_leader(ParetoArchive(), rng)
+            select_leader(ParetoArchive(), rng.random((1, 3)).tolist())
 
-    def test_infinite_crowding_wins_three_quarters(self):
-        # 2 entries, crowding {inf, 0.1}: the inf entry wins whenever drawn,
-        # i.e. with probability 1 - (1/2)^2 = 3/4
-        archive = ParetoArchive()
-        archive.insert([0.0], (0.0, 3.0))
-        archive.insert([1.0], (2.0, 1.0))
-        archive.insert([2.0], (3.0, 0.0))
-        # middle entry has finite crowding; extremes inf
-        rng = np.random.default_rng(7)
-        n = 20_000
-        wins = sum(
-            select_leader(archive, rng).tolist() != [1.0] for _ in range(n)
-        )
-        p_extreme = 1 - (1 / 3) ** 2  # either extreme appears in the pair
-        assert wins / n == pytest.approx(p_extreme, abs=0.01)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
-    def test_scalar_draws_keep_size_two_stream(self, n):
-        # select_leader consumes the generator exactly as the per-particle
-        # reference's one integers(0, n, size=2) draw, tie draws included
+    @staticmethod
+    def line_archive(n):
+        """n members on the line f1 + f2 = n - 1, member k at position [k]:
+        the two ends have infinite crowding, every interior member the same
+        finite one."""
         archive = ParetoArchive()
         for k in range(n):
-            archive.insert([float(k)], (float(k), float(n - k)))
-        for seed in range(5):
-            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(100):
-                assert (
-                    select_leader(archive, got).tobytes()
-                    == reference_select_leader(archive, want).tobytes()
-                )
-                assert got.random() == want.random()
-            assert got.bit_generator.state == want.bit_generator.state
+            archive.insert([float(k)], (float(k), float(n - 1 - k)))
+        return archive
+
+    def test_rows_map_as_documented(self):
+        # members int(u * n); the larger crowding wins; a tie goes to the
+        # first iff u_tie < 0.5
+        archive = self.line_archive(4)
+        rows = [[0.0, 0.3, 0.9], [0.3, 0.99, 0.1], [0.0, 0.99, 0.3],
+                [0.0, 0.99, 0.7], [0.3, 0.6, 0.49], [0.3, 0.6, 0.5]]
+        assert select_leader(archive, rows)[:, 0].tolist() == [0, 3, 0, 3, 1, 2]
+
+    def test_infinite_crowding_wins_three_quarters(self):
+        # crowding {inf, c, c, inf}: an end member wins whenever one is
+        # drawn, i.e. with probability 1 - (2/4)^2 = 3/4
+        archive = self.line_archive(4)
+        n = 20_000
+        rows = np.random.default_rng(7).random((n, 3)).tolist()
+        ends = np.isin(select_leader(archive, rows)[:, 0], [0.0, 3.0])
+        assert ends.mean() == pytest.approx(0.75, abs=0.01)
 
     def test_uniform_when_crowding_ties(self):
-        archive = ParetoArchive()
-        archive.insert([0.0], (0.0, 1.0))
-        archive.insert([1.0], (1.0, 0.0))  # both extremes -> crowding inf
-        rng = np.random.default_rng(11)
+        archive = self.line_archive(2)  # both ends -> crowding inf
         n = 20_000
-        first = sum(select_leader(archive, rng).tolist() == [0.0] for _ in range(n))
+        rows = np.random.default_rng(11).random((n, 3)).tolist()
+        first = int((select_leader(archive, rows)[:, 0] == 0.0).sum())
         # chi-square with 1 dof at alpha = 0.001 -> |first - n/2| < 3.29*sqrt(n)/2
         assert abs(first - n / 2) < 3.29 * np.sqrt(n) / 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 999_999, 10**6])
+    def test_indices_stay_in_range(self, n):
+        # u in [0, 1): the smallest and the largest double below 1 pick the
+        # first and the last member, never member n
+        top = 1 - 2.0**-53
+        archive = ParetoArchive()
+        f1 = np.arange(n, dtype=float)
+        archive._set(np.column_stack([f1, f1[::-1]]), f1[:, None])
+        rows = [[0.0, 0.0, 0.0], [top, top, 0.0], [top, 0.0, 0.9]]
+        assert select_leader(archive, rows)[:, 0].tolist() == [0, n - 1, 0]
+        if n == 10**6:  # and so for every size up to it
+            sizes = np.arange(1, n + 1)
+            assert (np.floor(top * sizes) == sizes - 1).all()
 
 
 def sphere_objectives(x):
@@ -538,14 +541,14 @@ class TestStep:
         assert (swarm.position <= self.UPPER).all()
 
     def test_front_never_regresses(self):
+        # no front holds a point that some earlier front dominates; one
+        # broadcast per front, written here rather than through dominance
         cfg = MopsoConfig(swarm_size=15, v_max=1.0)
         _, _, history = self.run(cfg, seed=5, iterations=40)
-        for t in range(len(history)):
-            for t2 in range(t + 1, len(history)):
-                for newer in history[t2]:
-                    assert not any(
-                        oracle_dominates(older, newer) for older in history[t]
-                    )
+        for t in range(1, len(history)):
+            older = np.concatenate(history[:t])[:, None, :]
+            newer = history[t][None, :, :]
+            assert not ((older >= newer).all(-1) & (older > newer).any(-1)).any()
 
 
 def grid_objective(centers, scale):
@@ -565,27 +568,7 @@ def assert_same_state(got, want):
     assert archive.values().tobytes() == ref_archive.values().tobytes()
     assert archive.positions().tobytes() == ref_archive.positions().tobytes()
     assert archive.crowding == ref_archive.crowding
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def set_next_raw_word(rng, word, skip=0):
-    """Set the PCG64 ``rng`` so that raw word number ``skip`` it draws (from
-    0) is ``word``, with no 32-bit half buffered. A raw word is the XSL-RR
-    output of the state after an LCG step: pick the state's high half, undo
-    the rotation for the low half, then undo the step and ``skip`` more."""
-    state = rng.bit_generator.state
-    high = 0xDEADBEEF01234567  # its top 6 bits are the rotation
-    rot = high >> 58
-    xored = ((word << rot) | (word >> (64 - rot))) & (2**64 - 1)
-    after = (high << 64) | (xored ^ high)
-    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
-    state["state"]["state"] = (after - state["state"]["inc"]) * inverse % 2**128
-    state["has_uint32"], state["uinteger"] = 0, 0
-    rng.bit_generator.state = state
-    rng.bit_generator.advance(-skip)
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 class TestWindowedStep:
@@ -627,9 +610,9 @@ class TestWindowedStep:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_particle_loop_with_ties(self, seed, swarm_size, m, capacity, scale):
         # a coarse grid makes members tie in crowding, and capacities 1 and
-        # 2 keep every member at +inf: most tournaments draw a tie-break
-        # double, and most evictions draw from the generator, which moves
-        # its buffered 32-bit half
+        # 2 keep every member at +inf: most tournaments are decided by
+        # u_tie, and most evictions draw a choice from the generator after
+        # the block
         cfg = MopsoConfig(swarm_size=swarm_size, v_max=4.0, archive_capacity=capacity)
         rng = np.random.default_rng(seed)
         objective = grid_objective(rng.uniform(-5, 5, (m, 3)), scale=scale)
@@ -641,47 +624,19 @@ class TestWindowedStep:
             reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
             assert_same_state(got, want)
 
-    @pytest.mark.parametrize("skip", [0, 3], ids=["first_particle", "second_particle"])
-    def test_lemire_rejection_falls_back_to_scalar_draws(self, monkeypatch, skip):
-        # a leader index whose 32-bit draw is 0 is rejected by numpy's Lemire
-        # method whenever the archive size n is not a power of two, so numpy
-        # redraws; the generator is set to give that draw at word ``skip``:
-        # the first particle's index word, or the second's when the first
-        # has no crowding tie (index, r1 and r2 words before it)
-        cfg = MopsoConfig(swarm_size=8, v_max=1.0)
-        rng = np.random.default_rng(1)
-        swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
-        n = len(archive)
-        assert (2**32 - n) % n > 0
-        word = 0x9E3779B9 << 32  # low half 0: (0 * n) % 2**32 = 0 is rejected
-        set_next_raw_word(rng, word, skip)
-        assert copy.deepcopy(rng).bit_generator.random_raw(skip + 1)[-1] == word
-        scalar = []
-
-        def counted(archive, rng):
-            scalar.append(len(archive))
-            return select_leader(archive, rng)
-
-        monkeypatch.setattr(mopso, "select_leader", counted)
-        want = copy.deepcopy((swarm, archive, rng))
-        step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
-        reference_step(*want[:2], sphere_objectives, self.LOWER, self.UPPER, cfg, want[2])
-        assert scalar == [n]
-        assert_same_state((swarm, archive, rng), want)
-
-    def test_needs_a_pcg64_generator(self):
-        # the draws are numpy's transforms of PCG64 words; any other bit
-        # generator is refused before anything moves
-        cfg = MopsoConfig(swarm_size=4, v_max=1.0)
-        swarm, archive = init_swarm(
-            sphere_objectives, self.LOWER, self.UPPER, cfg, np.random.default_rng(0)
-        )
-        before = copy.deepcopy((swarm, archive))
+    def test_any_generator(self):
+        # step asks its generator only for a random block and eviction-tie
+        # choices, so any bit generator gives the per-particle loop's bytes;
+        # capacity 2 keeps every member at +inf, so ties and evictions abound
+        cfg = MopsoConfig(swarm_size=8, v_max=1.0, archive_capacity=2)
         rng = np.random.Generator(np.random.Philox(0))
-        with pytest.raises(TypeError, match="PCG64"):
-            step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
-        assert swarm.position.tobytes() == before[0].position.tobytes()
-        assert archive.values().tobytes() == before[1].values().tobytes()
+        swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        got = (swarm, archive, rng)
+        want = copy.deepcopy(got)
+        for _ in range(4):
+            step(*got[:2], sphere_objectives, self.LOWER, self.UPPER, cfg, got[2])
+            reference_step(*want[:2], sphere_objectives, self.LOWER, self.UPPER, cfg, want[2])
+            assert_same_state(got, want)
 
     def test_insert_once_per_candidate(self, monkeypatch):
         # step offers every evaluated candidate to the archive once, through
@@ -729,8 +684,8 @@ class TestWindowedStep:
             left.append(state)
         # the two particles before it are fully updated, personal bests
         # included, as the per-particle loop leaves them; no personal best
-        # after them has changed, and the generator is past the third
-        # particle's draws in both
+        # after them has changed, and the generator is past the step's
+        # block in both
         (got, _, got_rng), (want, _, want_rng) = left
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         for name in ("position", "velocity", "best_position", "best_value"):

@@ -66,14 +66,13 @@ def test_traced_run_counts_every_layer(monkeypatch):
     calls = traced.stats["scenario.objective"].calls
     assert calls == (iterations + 1) * cfg.mopso.swarm_size
     assert traced.stats["mopso.step"].calls == iterations
-    # What the tracer sees of a step: its velocity and position updates,
-    # one of each per window, its one personal-best update, and one archive
-    # insert per candidate, which decides admission and removal. Its leader
-    # draws (``_RawDraws.window``) are not a tracer target, so they count as
-    # the step's own time; ``select_leader`` runs only after a Lemire
-    # rejection.
+    # What the tracer sees of a step: its leader selection, velocity and
+    # position updates, one of each per window, its one personal-best
+    # update, and one archive insert per candidate, which decides admission
+    # and removal. The step's random block is drawn in its own time.
     windows = traced.stats["mopso.update_velocity"].calls
     assert windows >= iterations
+    assert traced.stats["mopso.select_leader"].calls == windows
     assert traced.stats["mopso.update_position"].calls == windows
     assert traced.stats["mopso.update_personal_best"].calls == iterations
     inserts = traced.stats["mopso.archive_insert"]

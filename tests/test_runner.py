@@ -780,6 +780,12 @@ class TestCli:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not (tmp_path / "c_ratio.csv").exists()
 
+    def test_report_names_an_unparsable_front_file(self, tmp_path, capsys):
+        # a results directory holds many front files; the error says which
+        (tmp_path / "front_t10.csv").write_text("f1,f2\n1,x\n")
+        assert main(["report", "--results", str(tmp_path)]) == 2
+        assert "front_t10.csv" in json.loads(capsys.readouterr().err)["message"]
+
     def test_io_error_exit_3(self, config_dir, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
