@@ -314,7 +314,7 @@ def init_swarm(objective, lower, upper, cfg, rng):
     return swarm, archive
 
 
-def step(swarm, archive, objective, lower, upper, cfg, rng):
+def step(swarm, archive, objective, lower, upper, cfg, rng, batched=False):
     """One MOPSO iteration over every particle, in index order.
 
     Per particle: select leader, draw r1 and r2, update velocity then
@@ -337,6 +337,8 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
     particle-by-particle loop over the same block leaves them; if the
     objective or the archive raises, the committed particles are left
     updated and the window's others as they were, as that loop leaves them.
+    With ``batched`` the objective maps a window's (n, D) positions to (n, M)
+    values in one call; if it raises, the whole window stays uncommitted.
     Mutates ``swarm`` and ``archive`` in place and returns them for
     convenience.
     """
@@ -352,8 +354,9 @@ def step(swarm, archive, objective, lower, upper, cfg, rng):
             leaders = select_leader(archive, draws[window, :3].tolist())
             velocity = update_velocity(swarm, window, leaders, draws[window, 3:], cfg)
             position = update_position(swarm, window, velocity, lower, upper)
+            batch = objective(position) if batched else None
             for k in range(len(position)):
-                values[start + k] = objective(position[k])
+                values[start + k] = batch[k] if batched else objective(position[k])
                 if archive.insert(position[k], values[start + k], rng):
                     break
             done = slice(start, start + k + 1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     oracle_dominates,
     oracle_pareto_indices,
+    paper_scenario,
     reference_step,
 )
 from mopso_deploy.mopso import (
@@ -24,6 +25,7 @@ from mopso_deploy.mopso import (
     update_position,
     update_velocity,
 )
+from mopso_deploy.scenario import make_objective, takes_batches
 
 # objective values on a small integer grid, signed zero included
 GRID = st.one_of(st.integers(-2, 3).map(float), st.just(-0.0))
@@ -692,3 +694,67 @@ class TestWindowedStep:
             assert getattr(got, name)[:2].tobytes() == getattr(want, name)[:2].tobytes()
         for name in ("best_position", "best_value"):
             assert getattr(got, name)[2:].tobytes() == getattr(swarm, name)[2:].tobytes()
+
+    @pytest.mark.parametrize("capacity", [None, 6])
+    def test_batched_scenario_objective_matches_per_particle_loop(self, capacity):
+        # the default grid is bounded, so step hands each window's positions
+        # to the objective in one call; the loop evaluates one at a time
+        sc = paper_scenario(20, 20)
+        assert takes_batches(sc)
+        objective = make_objective(sc)
+        box = sc.deployment_region
+        lower = np.tile([box.x_min, box.y_min], sc.n_antennas)
+        upper = np.tile([box.x_max, box.y_max], sc.n_antennas)
+        cfg = MopsoConfig(swarm_size=30, v_max=150.0, archive_capacity=capacity)
+        rng = np.random.default_rng(7)
+        swarm, archive = init_swarm(objective, lower, upper, cfg, rng)
+        got = (swarm, archive, rng)
+        want = copy.deepcopy(got)
+        for _ in range(12):
+            step(*got[:2], objective, lower, upper, cfg, got[2], batched=True)
+            reference_step(*want[:2], objective, lower, upper, cfg, want[2])
+            assert_same_state(got, want)
+
+    def test_batched_objective_that_raises_leaves_its_window_uncommitted(self, monkeypatch):
+        # the second window's one call raises: none of its particles moves,
+        # as the per-particle loop leaves them when that window's first
+        # evaluation raises
+        cfg = MopsoConfig(swarm_size=12, v_max=1.0)
+        rng = np.random.default_rng(3)
+        swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        start = copy.deepcopy((swarm, archive, rng))
+        insert, inserted = ParetoArchive.insert, []
+
+        def counted(self, position, value, rng=None):
+            inserted.append(value)
+            return insert(self, position, value, rng)
+
+        monkeypatch.setattr(ParetoArchive, "insert", counted)
+        windows = []
+
+        def batched(x):
+            windows.append(len(x))
+            if len(windows) == 2:
+                raise RuntimeError("objective failed")
+            return np.array([sphere_objectives(row) for row in x])
+
+        got = copy.deepcopy(start)
+        with pytest.raises(RuntimeError):
+            step(*got[:2], batched, self.LOWER, self.UPPER, cfg, got[2], batched=True)
+        committed = len(inserted)
+        assert 1 <= committed <= windows[0] and len(windows) == 2
+        singles = []
+
+        def single(x):
+            singles.append(x)
+            if len(singles) == committed + 1:
+                raise RuntimeError("objective failed")
+            return sphere_objectives(x)
+
+        want = copy.deepcopy(start)
+        with pytest.raises(RuntimeError):
+            step(*want[:2], single, self.LOWER, self.UPPER, cfg, want[2])
+        assert_same_state(got, want)
+        for name in ("position", "velocity", "best_position", "best_value"):
+            assert (getattr(got[0], name)[committed:].tobytes()
+                    == getattr(start[0], name)[committed:].tobytes())

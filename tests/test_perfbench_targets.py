@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from mopso_deploy import runner
-from mopso_deploy.scenario import joint_objective, scenario_from_dict
+from mopso_deploy.scenario import joint_objective, scenario_from_dict, takes_batches
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -63,8 +63,6 @@ def test_traced_run_counts_every_layer(monkeypatch):
         result = runner.run_single(cfg, 42)
     assert traced.missing == []
     assert result.iterations_run == iterations
-    calls = traced.stats["scenario.objective"].calls
-    assert calls == (iterations + 1) * cfg.mopso.swarm_size
     assert traced.stats["mopso.step"].calls == iterations
     # What the tracer sees of a step: its leader selection, velocity and
     # position updates, one of each per window, its one personal-best
@@ -72,6 +70,11 @@ def test_traced_run_counts_every_layer(monkeypatch):
     # and removal. The step's random block is drawn in its own time.
     windows = traced.stats["mopso.update_velocity"].calls
     assert windows >= iterations
+    # the default grid is bounded, so each window's layouts are evaluated
+    # in one call, after one call per particle to seed the swarm
+    assert takes_batches(cfg.scenario)
+    calls = traced.stats["scenario.objective"].calls
+    assert calls == cfg.mopso.swarm_size + windows
     assert traced.stats["mopso.select_leader"].calls == windows
     assert traced.stats["mopso.update_position"].calls == windows
     assert traced.stats["mopso.update_personal_best"].calls == iterations

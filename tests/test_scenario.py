@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIGS, paper_scenario, reference_objective
 from mopso_deploy.scenario import (
@@ -18,6 +20,7 @@ from mopso_deploy.scenario import (
     make_objective,
     power_density,
     scenario_from_dict,
+    takes_batches,
 )
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -83,6 +86,11 @@ class TestPowerDensity:
     def test_mismatched_layout_rejected(self):
         with pytest.raises(ScenarioError):
             power_density([[0, 0], [1, 1]], (1, 0), single_radar(), 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_layout_rejected(self, bad):
+        with pytest.raises(ScenarioError, match="finite"):
+            power_density([[0, bad]], (1, 0), single_radar(), 0.1)
 
 
 def region_minimum(layout, region, radar, min_separation):
@@ -275,11 +283,136 @@ class TestJointObjective:
                 got = objective(flat)
                 assert got.tobytes() == reference_objective(sc, flat).tobytes()
 
+    @pytest.mark.parametrize("nx", [5, 20])
+    def test_odd_flat_layout_rejected(self, nx):
+        # a flat list of odd length has no (J, 2) shape; it must not reach
+        # numpy's reshape, whose ValueError is not a ScenarioError
+        with pytest.raises(ScenarioError, match=r"\(J, 2\)"):
+            joint_objective([1.0, 2.0, 3.0], paper_scenario(nx=nx, ny=nx))
+
+    @pytest.mark.parametrize("nx", [5, 20])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_layout_rejected(self, rng, nx, bad):
+        # NaN would come back as [nan nan] and +-inf as [0. 0.], a finite
+        # value the archive would take; the bounded kernel would turn a NaN
+        # into +inf, since NaN fails every comparison with a bound
+        layout = rng.uniform(0, 70000, (8, 2))
+        layout[3, 1] = bad
+        for flat in (layout, layout.ravel()):
+            with pytest.raises(ScenarioError, match="finite"):
+                joint_objective(flat, paper_scenario(nx=nx, ny=nx))
+
+    def test_joint_objective_is_one_vector_on_a_bounded_grid(self, rng):
+        sc = paper_scenario()
+        assert takes_batches(sc)
+        layout = rng.uniform(0, 70000, (8, 2))
+        got = joint_objective(layout, sc)
+        assert got.shape == (2,)
+        assert got.tobytes() == reference_objective(sc, layout.ravel()).tobytes()
+
     def test_values_positive_finite(self, rng):
         sc = paper_scenario(nx=5, ny=5)
         for _ in range(10):
             vec = joint_objective(rng.uniform(0, 70000, (8, 2)), sc)
             assert np.isfinite(vec).all() and (vec > 0).all()
+
+
+def plain_objective(scenario, flat):
+    """Per-cell oracle: each cell's J terms added one after another in
+    Python, except a one-cell region's, which numpy adds pairwise from
+    eight antennas on (as the fused kernel and ``reference_objective``)."""
+    radar, floor = scenario.radar, scenario.min_separation ** 2
+    coef = (radar.transmit_powers * radar.gains / (4.0 * math.pi)).tolist()
+    pos = np.asarray(flat, dtype=float).reshape(-1, 2).tolist()
+    out = []
+    for region in scenario.regions:
+        if region.n_cells == 1:
+            out.append(reference_objective(Scenario(
+                scenario.deployment_region, (region,), radar, scenario.min_separation
+            ), flat)[0])
+            continue
+        best = math.inf
+        for cx, cy in region.cells.tolist():
+            total = 0.0
+            for c, (px, py) in zip(coef, pos):
+                total += c / max((px - cx) * (px - cx) + (py - cy) * (py - cy), floor)
+            best = min(best, total)
+        out.append(best)
+    return np.array(out)
+
+
+# bounded grids: at least 16 blocks of 5 x 5 cells, ragged, one line thick or not
+BOUNDED = [(20, 20), (16, 23), (21, 17), (24, 16), (40, 8), (80, 1)]
+PLAIN = [(1, 1), (3, 5), (10, 10), (4, 4), (19, 10)]
+
+
+class TestBlockBound:
+    """The bounded kernel (regions of 16 or more blocks) against the full
+    pass, byte for byte, one layout or a batch at a time."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.sampled_from([1, 2, 3, 8, 9]),
+        grids=st.lists(st.sampled_from(BOUNDED + PLAIN), min_size=1, max_size=3),
+        batch=st.integers(1, 31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_equal_single_calls_and_the_oracles(self, seed, j, grids, batch):
+        rng = np.random.default_rng(seed)
+        regions = tuple(
+            InterferenceRegion(Rectangle(3000.0 * i, 3000.0 * i + 2000.0, 0.0, 1700.0), nx, ny)
+            for i, (nx, ny) in enumerate(grids)
+        )
+        sep = 60.0
+        sc = Scenario(
+            Rectangle(-1000.0, 3000.0 * len(grids), -1000.0, 3000.0),
+            regions,
+            RadarParams(rng.uniform(1e3, 2e4, j), rng.uniform(1.0, 1e4, j)),
+            min_separation=sep,
+        )
+        assert takes_batches(sc) == any(g in BOUNDED for g in grids)
+        layouts = rng.uniform(-1000.0, 3000.0 * len(grids), (batch, j, 2))
+        layouts[..., 1] = rng.uniform(-1000.0, 3000.0, (batch, j))
+        # antennas inside a region, on a cell centre and within the floor
+        # distance of one
+        for row in layouts:
+            region = regions[rng.integers(len(regions))]
+            cells = region.cells[rng.integers(region.n_cells, size=j)]
+            kind = rng.integers(4)
+            if kind == 1:
+                row[:] = cells
+            elif kind == 2:
+                row[:] = cells + rng.uniform(-sep, sep, (j, 2)) / 2.0
+            elif kind == 3:
+                row[0] = rng.uniform([region.bounds.x_min, region.bounds.y_min],
+                                     [region.bounds.x_max, region.bounds.y_max])
+        objective = make_objective(sc)
+        flat = layouts.reshape(batch, -1)
+        rows = objective(flat) if takes_batches(sc) else np.array([objective(f) for f in flat])
+        assert rows.shape == (batch, len(regions))
+        for row, f in zip(rows, flat):
+            assert row.tobytes() == objective(f).tobytes()
+            assert row.tobytes() == reference_objective(sc, f).tobytes()
+            assert row.tobytes() == plain_objective(sc, f).tobytes()
+
+    def test_paper_windows_equal_the_reference(self, rng):
+        # recorded-like windows of the default scenario, every batch size of
+        # a 30-particle swarm, some antennas inside the regions
+        sc = paper_scenario()
+        objective = make_objective(sc)
+        for batch in range(1, 31):
+            flat = rng.uniform(0, 70000, (batch, 16))
+            flat[::3, :2] = sc.regions[batch % 2].cells[rng.integers(400)]
+            rows = objective(flat)
+            for row, f in zip(rows, flat):
+                assert row.tobytes() == reference_objective(sc, f).tobytes()
+
+    @pytest.mark.parametrize("nx, ny, bounded", [(20, 20, True), (16, 16, True),
+                                                 (15, 15, False), (10, 10, False),
+                                                 (4, 4, False), (80, 1, True),
+                                                 (75, 1, False)])
+    def test_which_grids_are_bounded(self, nx, ny, bounded):
+        assert takes_batches(paper_scenario(nx=nx, ny=ny)) == bounded
 
 
 class TestValidation:
