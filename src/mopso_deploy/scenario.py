@@ -216,22 +216,17 @@ def _density_minima(cell_sets, radar, min_separation):
     return minima
 
 
-# A bounded region's grid is split into blocks of _BLOCK x _BLOCK cells; a
-# region of fewer than _MIN_BLOCKS blocks keeps the full pass. Replaying a
-# default-1000 run's windows (2 vCPUs, numpy 2.4.6), us per layout: full
-# pass 40.6; blocks of side 4: 16.1, 5: 16.3, 6: 17.7, 10: 23.6. On the desk
-# config's 10 x 10 grids (4 blocks) a bounded layout costs 17.9 us to 16.7,
-# and whole windows evaluate 49% more layouts: 110 ms a run against 69.
+# A region is bounded if it has at least _MIN_BLOCKS blocks of _BLOCK x
+# _BLOCK cells. Default-experiment runs on two g x g grids, windows bounded
+# against the full pass per particle (2 vCPUs, medians of 9), g: wall time
+# 8: +1.5%, 10: -3.3%, 11: +4.3%, 12: -4.8%, 15: -16%, 16: -4.3%, 20: -33%;
+# ragged edge blocks cost, and 16 keeps out both grids that were slower.
 _BLOCK, _MIN_BLOCKS = 5, 16
 
 
-def _bounded(region):
-    return -(-region.nx // _BLOCK) * -(-region.ny // _BLOCK) >= _MIN_BLOCKS
-
-
 def _block_minima(regions, radar, min_separation):
-    """Closure mapping a (B, J, 2) batch of layouts to its (B, len(regions))
-    region minima, bit for bit those of ``_density_minima``.
+    """Closure mapping a flat layout (2J,) or a (B, 2J) batch to its region
+    minima, bit for bit those of ``_density_minima``.
 
     A cell's squared distance is DX[col] + DY[row], as in the full pass. A
     block's lower bound is the density at the larger DX and DY of its first
@@ -243,21 +238,18 @@ def _block_minima(regions, radar, min_separation):
     Using Interval Analysis, 2004). Sums are over axis 0 of C-ordered arrays,
     so the J terms are added in order, as in the full pass, not pairwise.
     """
-    # Every grid's lines side by side, each grid's padded to whole blocks
-    # with its last line: x block i is lines [i * _BLOCK, (i + 1) * _BLOCK).
-    # Block k spans x block kx[k] and y block ky[k].
-    xs, ys, kx, ky, corners, sizes = [], [], [], [], [], []
-    for region in regions:
-        nx, ny = region.nx, region.ny
-        nbx, nby, x0, y0 = -(-nx // _BLOCK), -(-ny // _BLOCK), len(xs), len(ys)
-        xs.extend(region.cells[:nx, 0][np.minimum(np.arange(nbx * _BLOCK), nx - 1)])
-        ys.extend(region.cells[::nx, 1][np.minimum(np.arange(nby * _BLOCK), ny - 1)])
-        iy, ix = np.indices((nby, nbx)).reshape(2, -1)
-        kx.append(x0 // _BLOCK + ix)
-        ky.append(y0 // _BLOCK + iy)
+    # Every grid's lines side by side, each padded to whole blocks with its
+    # last line: x block i is lines [i * _BLOCK, (i + 1) * _BLOCK). Block k
+    # spans x block kx[k] and y block ky[k].
+    xs, ys, blocks, corners = [], [], [], []
+    for r in regions:
+        nbx, nby, x0, y0 = -(-r.nx // _BLOCK), -(-r.ny // _BLOCK), len(xs), len(ys)
+        xs.extend(r.cells[: r.nx, 0][np.minimum(np.arange(nbx * _BLOCK), r.nx - 1)])
+        ys.extend(r.cells[:: r.nx, 1][np.minimum(np.arange(nby * _BLOCK), r.ny - 1)])
+        blocks.append(np.indices((nbx, nby)).reshape(2, -1) + [[x0 // _BLOCK], [y0 // _BLOCK]])
         corners += [(x, y) for y in (y0, len(ys) - 1) for x in (x0, len(xs) - 1)]
-        sizes.append(nbx * nby)
-    kx, ky, (cx, cy) = np.concatenate(kx), np.concatenate(ky), np.transpose(corners)
+    sizes = [k.shape[1] for k in blocks]
+    (kx, ky), (cx, cy) = np.concatenate(blocks, axis=1), np.transpose(corners)
     nbx, nby, n_blocks = len(xs) // _BLOCK, len(ys) // _BLOCK, len(kx)
     starts, region_of = np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
     # columns of ``table``: each block's bound, then the corner cells ...
@@ -283,19 +275,20 @@ def _block_minima(regions, radar, min_separation):
         np.maximum(d2, floor, out=d2)
         return np.divide(coef, d2, out=d2).sum(axis=0)
 
-    def minima(pos):
-        px, py = np.ascontiguousarray(pos.transpose(2, 1, 0))  # (J, B) each
+    def minima(flat):
+        flat = np.asarray(flat, dtype=float)
+        px, py = np.ascontiguousarray(flat.reshape(-1, len(coef), 2).transpose(2, 1, 0))
         tx, ty = table(px, xs, nbx), table(py, ys, nby)
-        bounds = tx.take(x_take, axis=2)
-        bounds += ty.take(y_take, axis=2)
-        bounds = density(bounds)  # block lower bounds, then 4 corners a region
-        upper = bounds[:, n_blocks:].reshape(len(pos), -1, 4).min(axis=2)
+        # block lower bounds, then 4 corners a region
+        bounds = density(tx.take(x_take, axis=2) + ty.take(y_take, axis=2))
+        upper = bounds[:, n_blocks:].reshape(len(bounds), -1, 4).min(axis=2)
         b, k = np.nonzero(bounds[:, :n_blocks] <= upper[:, region_of])
         d2 = tx.reshape(len(coef), -1).take(x_cells[k] + (b * tx.shape[2])[:, None], axis=1)
         d2 += ty.reshape(len(coef), -1).take(y_cells[k] + (b * ty.shape[2])[:, None], axis=1)
-        best = np.full((len(pos), n_blocks), np.inf)
+        best = np.full((len(bounds), n_blocks), np.inf)
         best[b, k] = density(d2).min(axis=1)
-        return np.minimum.reduceat(best, starts, axis=1)
+        out = np.minimum.reduceat(best, starts, axis=1)
+        return out if flat.ndim == 2 else out[0]
 
     return minima
 
@@ -317,9 +310,9 @@ def joint_objective(layout, scenario):
 
 
 def takes_batches(scenario):
-    """Whether ``make_objective(scenario)`` wants a window of layouts at
-    once: whether some region has enough blocks to bound."""
-    return any(map(_bounded, scenario.regions))
+    """Whether ``make_objective(scenario)`` takes a window of layouts at
+    once: whether every region has at least _MIN_BLOCKS blocks to bound."""
+    return all(-(-r.nx // _BLOCK) * -(-r.ny // _BLOCK) >= _MIN_BLOCKS for r in scenario.regions)
 
 
 def make_objective(scenario):
@@ -329,23 +322,9 @@ def make_objective(scenario):
     Unvalidated; equivalent to ``joint_objective`` on the reshaped layout.
     """
     regions, radar, sep = scenario.regions, scenario.radar, scenario.min_separation
-    bound = [q for q, r in enumerate(regions) if _bounded(r)]
-    plain = [q for q, r in enumerate(regions) if not _bounded(r)]
-    full = _density_minima([regions[q].cells for q in plain], radar, sep) if plain else None
-    if not bound:
-        return full
-    blocks = _block_minima([regions[q] for q in bound], radar, sep)
-
-    def objective(flat):
-        flat = np.asarray(flat, dtype=float)
-        pos = flat.reshape(-1, radar.n_antennas, 2)
-        out = np.empty((len(pos), len(regions)))
-        out[:, bound] = blocks(pos)
-        if plain:
-            out[:, plain] = [full(p) for p in pos]
-        return out if flat.ndim == 2 else out[0]
-
-    return objective
+    if takes_batches(scenario):
+        return _block_minima(regions, radar, sep)
+    return _density_minima([r.cells for r in regions], radar, sep)
 
 
 # ---------------------------------------------------------------------------

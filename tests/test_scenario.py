@@ -370,7 +370,7 @@ class TestBlockBound:
             RadarParams(rng.uniform(1e3, 2e4, j), rng.uniform(1.0, 1e4, j)),
             min_separation=sep,
         )
-        assert takes_batches(sc) == any(g in BOUNDED for g in grids)
+        assert takes_batches(sc) == all(g in BOUNDED for g in grids)
         layouts = rng.uniform(-1000.0, 3000.0 * len(grids), (batch, j, 2))
         layouts[..., 1] = rng.uniform(-1000.0, 3000.0, (batch, j))
         # antennas inside a region, on a cell centre and within the floor
