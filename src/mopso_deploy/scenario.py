@@ -217,10 +217,10 @@ def _density_minima(cell_sets, radar, min_separation):
 
 
 # A region is bounded if it has at least _MIN_BLOCKS blocks of _BLOCK x
-# _BLOCK cells. Default-experiment runs on two g x g grids, windows bounded
-# against the full pass per particle (2 vCPUs, medians of 9), g: wall time
-# 8: +1.5%, 10: -3.3%, 11: +4.3%, 12: -4.8%, 15: -16%, 16: -4.3%, 20: -33%;
-# ragged edge blocks cost, and 16 keeps out both grids that were slower.
+# _BLOCK cells. Default experiment on two g x g grids, batched and bounded vs
+# the full pass per particle (2 vCPUs, medians of 12), g: 1000-iteration runs
+# 10: -21%, 12: -20%, 15: -35%, 16: -30%, 20: -44%; runs halting at the stop
+# 10: +60%, 12: +7%, 15: +32%, 16: +21%, 20: -8%. 16 keeps desk's 10 x 10 out.
 _BLOCK, _MIN_BLOCKS = 5, 16
 
 
@@ -235,8 +235,9 @@ def _block_minima(regions, radar, min_separation):
     cells'. The density at the region's corner cells bounds its minimum from
     above; only blocks whose lower bound does not exceed that are evaluated
     cell by cell (branch and bound; Hansen & Walster, Global Optimization
-    Using Interval Analysis, 2004). Sums are over axis 0 of C-ordered arrays,
-    so the J terms are added in order, as in the full pass, not pairwise.
+    Using Interval Analysis, 2004). Row j * B + b of every plane is antenna j
+    of layout b, so each density sums a C-ordered (J, B * n) view over axis 0:
+    the J terms are added in order, as in the full pass, not pairwise.
     """
     # Every grid's lines side by side, each padded to whole blocks with its
     # last line: x block i is lines [i * _BLOCK, (i + 1) * _BLOCK). Block k
@@ -248,28 +249,21 @@ def _block_minima(regions, radar, min_separation):
         ys.extend(r.cells[:: r.nx, 1][np.minimum(np.arange(nby * _BLOCK), r.ny - 1)])
         blocks.append(np.indices((nbx, nby)).reshape(2, -1) + [[x0 // _BLOCK], [y0 // _BLOCK]])
         corners += [(x, y) for y in (y0, len(ys) - 1) for x in (x0, len(xs) - 1)]
+    # Both axes' lines as the rows of one (2, L) array, the shorter padded
+    # with its own last line, so one pass builds both tables.
+    n_lines = max(len(xs), len(ys))
+    lines = np.array([a + a[-1:] * (n_lines - len(a)) for a in (xs, ys)])
     sizes = [k.shape[1] for k in blocks]
     (kx, ky), (cx, cy) = np.concatenate(blocks, axis=1), np.transpose(corners)
-    nbx, nby, n_blocks = len(xs) // _BLOCK, len(ys) // _BLOCK, len(kx)
+    nb, n_blocks = n_lines // _BLOCK, len(kx)
     starts, region_of = np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
-    # columns of ``table``: each block's bound, then the corner cells ...
-    x_take, y_take = np.concatenate([kx, nbx + cx]), np.concatenate([ky, nby + cy])
+    # columns of a table: each block's bound, then the corner cells ...
+    x_take, y_take = np.concatenate([kx, nb + cx]), np.concatenate([ky, nb + cy])
     # ... and each block's cells
-    x_cells = nbx + _BLOCK * kx[:, None] + np.tile(np.arange(_BLOCK), _BLOCK)
-    y_cells = nby + _BLOCK * ky[:, None] + np.repeat(np.arange(_BLOCK), _BLOCK)
-    xs, ys = np.array(xs), np.array(ys)
-    coef = (radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None, None]
+    x_cells = nb + _BLOCK * kx[:, None] + np.tile(np.arange(_BLOCK), _BLOCK)
+    y_cells = nb + _BLOCK * ky[:, None] + np.repeat(np.arange(_BLOCK), _BLOCK)
+    coef = (radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None]
     floor = min_separation * min_separation
-
-    def table(p, lines, n_first):
-        """(J, B, n_first + lines): per block the larger squared offset of its
-        first and last lines, then the squared offset to every line."""
-        out = np.empty(p.shape + (n_first + len(lines),))
-        sq = out[:, :, n_first:]
-        np.subtract(p[:, :, None], lines, out=sq)
-        sq *= sq
-        np.maximum(sq[:, :, ::_BLOCK], sq[:, :, _BLOCK - 1 :: _BLOCK], out=out[:, :, :n_first])
-        return out
 
     def density(d2):
         np.maximum(d2, floor, out=d2)
@@ -277,16 +271,22 @@ def _block_minima(regions, radar, min_separation):
 
     def minima(flat):
         flat = np.asarray(flat, dtype=float)
-        px, py = np.ascontiguousarray(flat.reshape(-1, len(coef), 2).transpose(2, 1, 0))
-        tx, ty = table(px, xs, nbx), table(py, ys, nby)
+        sq = flat.reshape(-1, len(coef), 2).T.reshape(2, -1, 1) - lines[:, None, :]
+        sq *= sq
+        # (2, J * B, nb + L): per block the larger squared offset of its first
+        # and last lines, then the squared offset to every line
+        firsts = np.maximum(sq[:, :, ::_BLOCK], sq[:, :, _BLOCK - 1 :: _BLOCK])
+        t = np.concatenate([firsts, sq], axis=2)
         # block lower bounds, then 4 corners a region
-        bounds = density(tx.take(x_take, axis=2) + ty.take(y_take, axis=2))
+        d2 = t[0].take(x_take, axis=1) + t[1].take(y_take, axis=1)
+        bounds = density(d2.reshape(len(coef), -1)).reshape(-1, len(x_take))
         upper = bounds[:, n_blocks:].reshape(len(bounds), -1, 4).min(axis=2)
         b, k = np.nonzero(bounds[:, :n_blocks] <= upper[:, region_of])
-        d2 = tx.reshape(len(coef), -1).take(x_cells[k] + (b * tx.shape[2])[:, None], axis=1)
-        d2 += ty.reshape(len(coef), -1).take(y_cells[k] + (b * ty.shape[2])[:, None], axis=1)
+        row, (tx, ty) = (b * t.shape[2])[:, None], t.reshape(2, len(coef), -1)
+        d2 = tx.take((x_cells[k] + row).ravel(), axis=1)
+        d2 += ty.take((y_cells[k] + row).ravel(), axis=1)
         best = np.full((len(bounds), n_blocks), np.inf)
-        best[b, k] = density(d2).min(axis=1)
+        best[b, k] = density(d2).reshape(-1, _BLOCK * _BLOCK).min(axis=1)
         out = np.minimum.reduceat(best, starts, axis=1)
         return out if flat.ndim == 2 else out[0]
 

@@ -341,8 +341,9 @@ def plain_objective(scenario, flat):
     return np.array(out)
 
 
-# bounded grids: at least 16 blocks of 5 x 5 cells, ragged, one line thick or not
-BOUNDED = [(20, 20), (16, 23), (21, 17), (24, 16), (40, 8), (80, 1)]
+# bounded grids: at least 16 blocks of 5 x 5 cells, ragged, one line thick or
+# not, with more x lines than y lines or fewer (the kernel pads the shorter)
+BOUNDED = [(20, 20), (16, 23), (21, 17), (24, 16), (40, 8), (8, 40), (80, 1), (1, 80)]
 PLAIN = [(1, 1), (3, 5), (10, 10), (4, 4), (19, 10)]
 
 
@@ -352,27 +353,30 @@ class TestBlockBound:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        j=st.sampled_from([1, 2, 3, 8, 9]),
+        j=st.sampled_from([1, 2, 3, 8, 9, 16]),
         grids=st.lists(st.sampled_from(BOUNDED + PLAIN), min_size=1, max_size=3),
         batch=st.integers(1, 31),
     )
     @settings(max_examples=60, deadline=None)
     def test_batch_rows_equal_single_calls_and_the_oracles(self, seed, j, grids, batch):
         rng = np.random.default_rng(seed)
+        # regions apart in x and in y, so a line taken from the wrong
+        # region's list is far from every cell of the right one
         regions = tuple(
-            InterferenceRegion(Rectangle(3000.0 * i, 3000.0 * i + 2000.0, 0.0, 1700.0), nx, ny)
+            InterferenceRegion(Rectangle(3000.0 * i, 3000.0 * i + 2000.0,
+                                         2500.0 * i, 2500.0 * i + 1700.0), nx, ny)
             for i, (nx, ny) in enumerate(grids)
         )
         sep = 60.0
         sc = Scenario(
-            Rectangle(-1000.0, 3000.0 * len(grids), -1000.0, 3000.0),
+            Rectangle(-1000.0, 3000.0 * len(grids), -1000.0, 2500.0 * len(grids) + 500.0),
             regions,
             RadarParams(rng.uniform(1e3, 2e4, j), rng.uniform(1.0, 1e4, j)),
             min_separation=sep,
         )
         assert takes_batches(sc) == all(g in BOUNDED for g in grids)
         layouts = rng.uniform(-1000.0, 3000.0 * len(grids), (batch, j, 2))
-        layouts[..., 1] = rng.uniform(-1000.0, 3000.0, (batch, j))
+        layouts[..., 1] = rng.uniform(-1000.0, 2500.0 * len(grids) + 500.0, (batch, j))
         # antennas inside a region, on a cell centre and within the floor
         # distance of one
         for row in layouts:
@@ -410,7 +414,7 @@ class TestBlockBound:
     @pytest.mark.parametrize("nx, ny, bounded", [(20, 20, True), (16, 16, True),
                                                  (15, 15, False), (10, 10, False),
                                                  (4, 4, False), (80, 1, True),
-                                                 (75, 1, False)])
+                                                 (1, 80, True), (75, 1, False)])
     def test_which_grids_are_bounded(self, nx, ny, bounded):
         assert takes_batches(paper_scenario(nx=nx, ny=ny)) == bounded
 
