@@ -136,11 +136,11 @@ class ParetoArchive:
     with a larger f2 would dominate an earlier one, and two members with
     equal f1 are equal. The members with f1 >= a are then the suffix from
     ``i = bisect_left(_f1, a)``, and its first one has the largest f2 of
-    them; so (a, b) is dominated iff that member has f2 > b, or f2 == b
-    and f1 > a (if it equals (a, b), no member can dominate it). This is
-    exactly ``dominance(values, (a, b)).any()``, ties and duplicates
-    included, for one bisect instead of a mask over the archive (the sweep
-    of Jensen, IEEE TEVC 7(5), 2003).
+    them; so (a, b) is dominated iff that member dominates it (if it equals
+    (a, b), no member can). This is exactly
+    ``dominance(values, (a, b)).any()``, ties, duplicates and NaNs included,
+    for one bisect instead of a mask over the archive (the sweep of Jensen,
+    IEEE TEVC 7(5), 2003).
     """
 
     def __init__(self, capacity=None):
@@ -172,6 +172,20 @@ class ParetoArchive:
             self._f1 = by_f1[:, 0].tolist()
             self._f2 = by_f1[:, 1].tolist()
 
+    def dominated(self, values):
+        """Whether some member dominates each row of a (B, M) array (a mask)
+        or the one (M,) vector (a bool): the rejection rule of ``insert``."""
+        batch = values.ndim == 2
+        if self._f1 is None:
+            if not len(self):
+                return np.zeros(values.shape[:-1], dtype=bool)
+            return dominance(self._values, values[:, None] if batch else values).any(-1)
+        f1, f2, out = self._f1, self._f2, []  # the sorted-view test of the class docstring
+        for a, b in values.tolist() if batch else [values.tolist()]:
+            i = bisect_left(f1, a)
+            out.append(i < len(f1) and f1[i] >= a and f2[i] >= b and (f1[i] > a or f2[i] > b))
+        return np.array(out, dtype=bool) if batch else out[0]
+
     def insert(self, position, value, rng=None):
         """Insert a candidate; returns True if it entered the archive.
 
@@ -192,21 +206,9 @@ class ParetoArchive:
             positions = np.empty((0, np.size(position)))
         elif values.shape[1] != value.size:
             raise ValueError("candidate objective length mismatch")
-        if self._f1 is not None:  # the sorted-view test of the class docstring
-            a, b = flat
-            f1, f2 = self._f1, self._f2
-            i = bisect_left(f1, a)
-            if i < len(f1) and (f2[i] > b or (f2[i] == b and f1[i] > a)):
-                return False
-        # ge: the member is >= value in every objective; gt: > in one
-        ge = values[:, 0] >= flat[0]
-        gt = values[:, 0] > flat[0]
-        for q in range(1, len(flat)):
-            ge &= values[:, q] >= flat[q]
-            gt |= values[:, q] > flat[q]
-        if (ge & gt).any():
+        if self.dominated(value):
             return False
-        kept = ge | gt  # for finite values, value dominates a member iff neither
+        kept = ~dominance(value, values)
         values = np.concatenate([values[kept], value[None]])
         position = np.asarray(position, dtype=float)
         positions = np.concatenate([positions[kept], position[None]])
@@ -314,7 +316,7 @@ def init_swarm(objective, lower, upper, cfg, rng):
     return swarm, archive
 
 
-def step(swarm, archive, objective, lower, upper, cfg, rng, batched=False):
+def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
     """One MOPSO iteration over every particle, in index order.
 
     Per particle: select leader, draw r1 and r2, update velocity then
@@ -333,14 +335,22 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, batched=False):
     candidate, which is inserted. The next window starts after it and is
     twice as wide as the run just committed (the first is a third of the
     swarm). Personal bests are updated once, at the end: only their own
-    particle reads them. Arrays and generator end exactly as a
-    particle-by-particle loop over the same block leaves them; if the
-    objective or the archive raises, the committed particles are left
-    updated and the window's others as they were, as that loop leaves them.
-    With ``batched`` the objective maps a window's (n, D) positions to (n, M)
-    values in one call; if it raises, the whole window stays uncommitted.
-    Mutates ``swarm`` and ``archive`` in place and returns them for
-    convenience.
+    particle reads them.
+
+    A ``bound`` maps a window's (n, D) positions to (n, M) values no lower
+    than the objective's. With one, only rows whose bound u is not finite,
+    or no member dominates, or dominates the particle's personal best are
+    evaluated, in one call mapping (n', D) to (n', M), and offered to the
+    archive. The others change nothing: their value v <= u, so a member
+    dominating u dominates v, and if v dominated the personal best, u would
+    too; u stands in for v in the personal-best update.
+
+    Arrays and generator end exactly as a particle-by-particle loop over the
+    same block leaves them. If the objective or the archive raises on a
+    particle, those before it are left updated and the rest as they were
+    (the loop has moved that one, not its personal best); a failed call on
+    a screened window leaves all of it as it was. Mutates ``swarm`` and
+    ``archive`` in place and returns them.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -354,15 +364,26 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, batched=False):
             leaders = select_leader(archive, draws[window, :3].tolist())
             velocity = update_velocity(swarm, window, leaders, draws[window, 3:], cfg)
             position = update_position(swarm, window, velocity, lower, upper)
-            batch = objective(position) if batched else None
-            for k in range(len(position)):
-                values[start + k] = batch[k] if batched else objective(position[k])
-                if archive.insert(position[k], values[start + k], rng):
-                    break
-            done = slice(start, start + k + 1)
-            swarm.velocity[done] = velocity[: k + 1]
-            swarm.position[done] = position[: k + 1]
-            start, width = start + k + 1, 2 * (k + 1)
+            rows, batch, end = range(len(position)), None, 0
+            try:
+                if bound is not None:
+                    u = values[window] = bound(position)
+                    open_ = ~archive.dominated(u) | dominance(u, swarm.best_value[window])
+                    rows = np.flatnonzero(open_ | ~np.isfinite(u).all(axis=1)).tolist()
+                    batch = objective(position[rows]) if rows else None
+                for n, k in enumerate(rows):
+                    end = k  # if row k raises, the rows before it commit
+                    values[start + k] = objective(position[k]) if batch is None else batch[n]
+                    if archive.insert(position[k], values[start + k], rng):
+                        end = k + 1
+                        break
+                else:
+                    end = len(position)
+            finally:
+                done = slice(start, start + end)
+                swarm.velocity[done] = velocity[:end]
+                swarm.position[done] = position[:end]
+                start, width = start + end, 2 * end
     finally:
         update_personal_best(swarm, slice(0, start), values[:start])
     return swarm, archive

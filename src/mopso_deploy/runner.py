@@ -30,9 +30,9 @@ from .scenario import (
     json_object,
     json_value,
     load_scenario,
+    make_bound,
     make_objective,
     read_json,
-    takes_batches,
 )
 
 
@@ -175,7 +175,7 @@ def run_single(cfg, seed, keep_all_fronts=False):
     lower = np.tile([box.x_min, box.y_min], n_ant)
     upper = np.tile([box.x_max, box.y_max], n_ant)
     objective = make_objective(scenario)
-    batched = takes_batches(scenario)
+    bound = make_bound(scenario)
 
     swarm, archive = init_swarm(objective, lower, upper, cfg.mopso, rng)
     monitor = ConvergenceMonitor(cfg.convergence)
@@ -185,7 +185,7 @@ def run_single(cfg, seed, keep_all_fronts=False):
     all_fronts = [] if keep_all_fronts else None
     stop_front = None
     for t in range(1, cfg.mopso.max_iterations + 1):
-        step(swarm, archive, objective, lower, upper, cfg.mopso, rng, batched)
+        step(swarm, archive, objective, lower, upper, cfg.mopso, rng, bound)
         front = FrontSnapshot(t, archive.values(), archive.positions())
         if t in cfg.snapshot_iterations:
             snapshots[t] = front

@@ -225,8 +225,11 @@ _BLOCK, _MIN_BLOCKS = 5, 16
 
 
 def _block_minima(regions, radar, min_separation):
-    """Closure mapping a flat layout (2J,) or a (B, 2J) batch to its region
-    minima, bit for bit those of ``_density_minima``.
+    """Closures (minima, bound). ``minima`` maps a flat layout (2J,) or a
+    (B, 2J) batch to its region minima, bit for bit those of
+    ``_density_minima``; ``bound`` maps a (B, 2J) batch to each region's
+    least corner-cell density: a cell's density in the full pass to the bit,
+    so never below the region minimum.
 
     A cell's squared distance is DX[col] + DY[row], as in the full pass. A
     block's lower bound is the density at the larger DX and DY of its first
@@ -290,7 +293,15 @@ def _block_minima(regions, radar, min_separation):
         out = np.minimum.reduceat(best, starts, axis=1)
         return out if flat.ndim == 2 else out[0]
 
-    return minima
+    corner_lines = np.array([lines[0, cx], lines[1, cy]])[:, None, :]
+
+    def bound(flat):
+        sq = flat.reshape(-1, len(coef), 2).T.reshape(2, -1, 1) - corner_lines
+        sq *= sq
+        d2 = np.add(sq[0], sq[1], out=sq[0]).reshape(len(coef), -1)
+        return density(d2).reshape(len(flat), -1, 4).min(axis=2)
+
+    return minima, bound
 
 
 def power_density(layout, cell, radar, min_separation):
@@ -323,8 +334,16 @@ def make_objective(scenario):
     """
     regions, radar, sep = scenario.regions, scenario.radar, scenario.min_separation
     if takes_batches(scenario):
-        return _block_minima(regions, radar, sep)
+        return _block_minima(regions, radar, sep)[0]
     return _density_minima([r.cells for r in regions], radar, sep)
+
+
+def make_bound(scenario):
+    """When ``takes_batches(scenario)``, ``_block_minima``'s closure mapping a
+    (B, 2J) batch to (B, M) upper bounds on its objective rows; else None."""
+    if takes_batches(scenario):
+        return _block_minima(scenario.regions, scenario.radar, scenario.min_separation)[1]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from mopso_deploy.mopso import (
     update_position,
     update_velocity,
 )
-from mopso_deploy.scenario import make_objective, takes_batches
+from mopso_deploy.scenario import make_bound, make_objective, takes_batches
 
 # objective values on a small integer grid, signed zero included
 GRID = st.one_of(st.integers(-2, 3).map(float), st.just(-0.0))
@@ -408,6 +408,33 @@ class TestArchive:
                 assert trial.positions().tolist() == [*positions[kept].tolist(), [-1.0]]
 
     @given(
+        st.lists(st.tuples(GRID, GRID, GRID), max_size=40),
+        st.lists(st.tuples(GRID | st.sampled_from([np.inf, -np.inf, np.nan]),
+                           GRID, GRID), max_size=8),
+        st.sampled_from([2, 3]),
+        st.sampled_from([None, 1, 2, 5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dominated_rows_match_dominance_mask(self, points, probes, m, capacity):
+        # the batched rejection query, after every insert, on probes that
+        # repeat each member (duplicates), tie it in all objectives but one,
+        # or hold a non-finite value; a small integer grid with -0.0 forces
+        # more ties
+        archive = ParetoArchive(capacity=capacity)
+        rng = np.random.default_rng(0)
+        for n, point in enumerate(points):
+            archive.insert([float(n)], point[:m], rng=rng)
+            members = archive.values()
+            cand = np.array([p[:m] for p in probes] + members.tolist(), dtype=float)
+            unit = np.eye(m)[n % m]  # ties each member in m - 1 objectives
+            cand = np.concatenate([cand.reshape(-1, m), members + unit, members - unit])
+            want = dominance(members[None], cand[:, None]).any(axis=1)
+            assert archive.dominated(cand).tolist() == want.tolist()
+
+    def test_empty_archive_dominates_nothing(self):
+        assert ParetoArchive().dominated(np.zeros((3, 2))).tolist() == [False] * 3
+
+    @given(
         st.lists(st.tuples(FINE, FINE, FINE) | st.tuples(GRID, GRID, GRID), max_size=60),
         st.sampled_from([1, 2, 3]),
         st.sampled_from([1, 2, 3, 4, 12]),
@@ -563,6 +590,16 @@ def grid_objective(centers, scale):
     return objective
 
 
+def rowwise(objective):
+    """``objective`` over the rows of a batch."""
+    return lambda x: np.array([objective(row) for row in x])
+
+
+def infinite_bound(x):
+    """A bound that screens out no row."""
+    return np.full((len(x), 2), np.inf)
+
+
 def assert_same_state(got, want):
     (swarm, archive, rng), (ref_swarm, ref_archive, ref_rng) = got, want
     for name in ("position", "velocity", "best_position", "best_value"):
@@ -662,45 +699,55 @@ class TestWindowedStep:
             step(swarm, archive, objective, self.LOWER, self.UPPER, cfg, rng)
         assert len(tested) == len(evaluated) == 5 * cfg.swarm_size
 
-    def test_dominated_non_finite_objective_raises(self):
-        # the third particle's candidate has -inf in every objective: every
-        # archive member dominates it, and it must still raise, not be
-        # silently rejected
-        cfg = MopsoConfig(swarm_size=6, v_max=1.0)
-        rng = np.random.default_rng(1)
-        swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
-        bad = np.array([-np.inf, -np.inf])
-        assert dominance(archive.values(), bad).all()
-        left = []
-        for stepper in (step, reference_step):
-            calls = []
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        swarm_size=st.integers(2, 16),
+        m=st.sampled_from([2, 3]),
+        capacity=st.sampled_from([None, 1, 2, 6]),
+        margin=st.sampled_from([0.0, 0.5, 3.0, np.inf]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_screened_step_matches_per_particle_loop(self, seed, swarm_size, m, capacity,
+                                                     margin):
+        # a bound equal to the objective (margin 0) screens every row that
+        # would change nothing; random slack up to the margin screens fewer,
+        # and an infinite bound none. The grid objective makes ties, so
+        # members and bounds are often equal
+        cfg = MopsoConfig(swarm_size=swarm_size, v_max=4.0, archive_capacity=capacity)
+        rng = np.random.default_rng(seed)
+        objective = grid_objective(rng.uniform(-5, 5, (m, 3)), scale=8.0)
+        slack = np.random.default_rng(seed + 1)
 
-            def objective(x):
-                calls.append(x)
-                return bad if len(calls) == 3 else sphere_objectives(x)
+        def bound(x):
+            rows = rowwise(objective)(x)
+            return rows + np.where(slack.random(rows.shape) < 0.5, 0.0,
+                                   margin * slack.random(rows.shape))
 
-            state = copy.deepcopy((swarm, archive, rng))
-            with pytest.raises(ValueError, match="non-finite"):
-                stepper(*state[:2], objective, self.LOWER, self.UPPER, cfg, state[2])
-            assert len(calls) == 3
-            left.append(state)
-        # the two particles before it are fully updated, personal bests
-        # included, as the per-particle loop leaves them; no personal best
-        # after them has changed, and the generator is past the step's
-        # block in both
-        (got, _, got_rng), (want, _, want_rng) = left
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        for name in ("position", "velocity", "best_position", "best_value"):
-            assert getattr(got, name)[:2].tobytes() == getattr(want, name)[:2].tobytes()
-        for name in ("best_position", "best_value"):
-            assert getattr(got, name)[2:].tobytes() == getattr(swarm, name)[2:].tobytes()
+        swarm, archive = init_swarm(objective, self.LOWER, self.UPPER, cfg, rng)
+        got = (swarm, archive, rng)
+        want = copy.deepcopy(got)
+        for _ in range(4):
+            step(*got[:2], rowwise(objective), self.LOWER, self.UPPER, cfg, got[2], bound)
+            reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
+            assert_same_state(got, want)
 
     @pytest.mark.parametrize("capacity", [None, 6])
     def test_batched_scenario_objective_matches_per_particle_loop(self, capacity):
-        # the default grid is bounded, so step hands each window's positions
-        # to the objective in one call; the loop evaluates one at a time
+        # an infinite bound screens out no row, so step hands each window's
+        # positions to the objective in one call; the loop evaluates one at
+        # a time
         sc = paper_scenario(20, 20)
         assert takes_batches(sc)
+        self.assert_scenario_step_matches(sc, capacity, infinite_bound)
+
+    @pytest.mark.parametrize("capacity", [None, 6])
+    def test_scenario_bound_matches_per_particle_loop(self, capacity):
+        # the default grid's corner-cell bound, as run_single passes it
+        sc = paper_scenario(20, 20)
+        self.assert_scenario_step_matches(sc, capacity, make_bound(sc))
+
+    @staticmethod
+    def assert_scenario_step_matches(sc, capacity, bound):
         objective = make_objective(sc)
         box = sc.deployment_region
         lower = np.tile([box.x_min, box.y_min], sc.n_antennas)
@@ -711,9 +758,54 @@ class TestWindowedStep:
         got = (swarm, archive, rng)
         want = copy.deepcopy(got)
         for _ in range(12):
-            step(*got[:2], objective, lower, upper, cfg, got[2], batched=True)
+            step(*got[:2], objective, lower, upper, cfg, got[2], bound)
             reference_step(*want[:2], objective, lower, upper, cfg, want[2])
             assert_same_state(got, want)
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    @pytest.mark.parametrize("screened", [False, True], ids=["plain", "screened"])
+    @pytest.mark.parametrize("failing", range(1, 13))
+    def test_non_finite_candidate_raises_after_the_particles_before_it(self, failing, screened,
+                                                                      bad):
+        # the failing particle's candidate is non-finite, which insert
+        # rejects with ValueError, even at -inf, where every member
+        # dominates it. Every particle before it, in its window or an
+        # earlier one, ends as the per-particle loop leaves it, and no
+        # personal best from it on changes. The tight bound screens most
+        # rows out; it is the candidate itself on the failing row, whose
+        # non-finite bound keeps it in
+        cfg = MopsoConfig(swarm_size=12, v_max=1.0)
+        rng = np.random.default_rng(0)
+        start = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng) + (rng,)
+        assert dominance(start[1].values(), np.array([-np.inf, -np.inf])).all()
+        calls = []
+
+        def recorded(x):
+            calls.append(np.array(x))
+            return sphere_objectives(x)
+
+        reference_step(*copy.deepcopy(start)[:2], recorded, self.LOWER, self.UPPER, cfg,
+                       copy.deepcopy(rng))
+        failed = calls[failing - 1].tobytes()
+
+        def objective(x):
+            return np.full(2, bad) if x.tobytes() == failed else sphere_objectives(x)
+
+        want = copy.deepcopy(start)
+        with pytest.raises(ValueError, match="non-finite"):
+            reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
+        got = copy.deepcopy(start)
+        screen = (rowwise(objective),) * 2 if screened else (objective, None)
+        with pytest.raises(ValueError, match="non-finite"):
+            step(*got[:2], screen[0], self.LOWER, self.UPPER, cfg, got[2], screen[1])
+        before = failing - 1
+        np.testing.assert_equal(got[2].bit_generator.state, want[2].bit_generator.state)
+        assert got[1].values().tobytes() == want[1].values().tobytes()
+        for name in ("position", "velocity", "best_position", "best_value"):
+            assert (getattr(got[0], name)[:before].tobytes()
+                    == getattr(want[0], name)[:before].tobytes()), name
+            assert (getattr(got[0], name)[before:].tobytes()
+                    == getattr(start[0], name)[before:].tobytes()), name
 
     def test_batched_objective_that_raises_leaves_its_window_uncommitted(self, monkeypatch):
         # the second window's one call raises: none of its particles moves,
@@ -740,7 +832,7 @@ class TestWindowedStep:
 
         got = copy.deepcopy(start)
         with pytest.raises(RuntimeError):
-            step(*got[:2], batched, self.LOWER, self.UPPER, cfg, got[2], batched=True)
+            step(*got[:2], batched, self.LOWER, self.UPPER, cfg, got[2], infinite_bound)
         committed = len(inserted)
         assert 1 <= committed <= windows[0] and len(windows) == 2
         singles = []

@@ -12,10 +12,12 @@ import pathlib
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from mopso_deploy import runner
-from mopso_deploy.scenario import joint_objective, scenario_from_dict, takes_batches
+from conftest import oracle_dominates
+from mopso_deploy import mopso, runner
+from mopso_deploy.scenario import joint_objective, make_bound, scenario_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -50,15 +52,41 @@ def test_traced_run_counts_every_layer(monkeypatch):
         cfg, halt_on_stop=False, snapshot_iterations=(),
         mopso=replace(cfg.mopso, max_iterations=iterations),
     )
-    init_swarm, init_inserts = runner.init_swarm, []
+    init_swarm, init_inserts, state = runner.init_swarm, [], []
 
     def counted_init(*args):  # the tracer's inserts made while seeding the archive
         before = traced.stats["mopso.archive_insert"].calls
-        out = init_swarm(*args)
+        state.extend(init_swarm(*args))
         init_inserts.append(traced.stats["mopso.archive_insert"].calls - before)
-        return out
+        return tuple(state)
+
+    # each window's rows, then the rows of it that the bound screens out by
+    # the rule of step, recomputed here with the plain-Python dominance
+    update_position, windows, screens = mopso.update_position, [], []
+
+    def recorded_window(swarm, rows, *args):
+        windows.append(rows)
+        return update_position(swarm, rows, *args)
+
+    def screened_bound(scenario):
+        bound = make_bound(scenario)
+
+        def screened(x):
+            u = bound(x)
+            (swarm, archive), rows = state, windows[-1]
+            members = archive.values().tolist()
+            screens.append([
+                all(np.isfinite(v)) and not oracle_dominates(v, best)
+                and any(oracle_dominates(m, v) for m in members)
+                for v, best in zip(u.tolist(), swarm.best_value[rows].tolist())
+            ])
+            return u
+
+        return screened
 
     monkeypatch.setattr(runner, "init_swarm", counted_init)
+    monkeypatch.setattr(runner, "make_bound", screened_bound)
+    monkeypatch.setattr(mopso, "update_position", recorded_window)
     with tracer.Tracer() as traced:
         result = runner.run_single(cfg, 42)
     assert traced.missing == []
@@ -66,22 +94,28 @@ def test_traced_run_counts_every_layer(monkeypatch):
     assert traced.stats["mopso.step"].calls == iterations
     # What the tracer sees of a step: its leader selection, velocity and
     # position updates, one of each per window, its one personal-best
-    # update, and one archive insert per candidate, which decides admission
-    # and removal. The step's random block is drawn in its own time.
-    windows = traced.stats["mopso.update_velocity"].calls
-    assert windows >= iterations
-    # the default grid is bounded, so each window's layouts are evaluated
-    # in one call, after one call per particle to seed the swarm
-    assert takes_batches(cfg.scenario)
-    calls = traced.stats["scenario.objective"].calls
-    assert calls == cfg.mopso.swarm_size + windows
-    assert traced.stats["mopso.select_leader"].calls == windows
-    assert traced.stats["mopso.update_position"].calls == windows
+    # update, and one archive insert per candidate evaluated exactly, which
+    # decides admission and removal. The step's random block is drawn in
+    # its own time.
+    n = cfg.mopso.swarm_size
+    assert traced.stats["mopso.update_velocity"].calls == len(windows) == len(screens)
+    assert traced.stats["mopso.select_leader"].calls == len(windows)
+    assert traced.stats["mopso.update_position"].calls == len(windows)
     assert traced.stats["mopso.update_personal_best"].calls == iterations
+    # the default grid is bounded, so step screens each window by the bound
+    # and evaluates the rows left, if any, in one call, after one call per
+    # particle to seed the swarm
+    exact_windows = sum(not all(screen) for screen in screens)
+    assert traced.stats["scenario.objective"].calls == n + exact_windows
+    # a window commits its rows up to where the next one starts; its
+    # committed rows are either screened out or offered to the archive
+    ends = [w.start or n for w in windows[1:]] + [n]
+    screened_out = sum(sum(screen[: end - w.start])
+                       for screen, w, end in zip(screens, windows, ends))
     inserts = traced.stats["mopso.archive_insert"]
-    assert init_inserts and 1 <= init_inserts[0] <= cfg.mopso.swarm_size
-    assert inserts.calls == iterations * cfg.mopso.swarm_size + init_inserts[0]
-    assert 0 < inserts.accepted < inserts.calls
+    assert init_inserts and 1 <= init_inserts[0] <= n
+    assert inserts.calls + screened_out == iterations * n + init_inserts[0]
+    assert 0 < screened_out and 0 < inserts.accepted < inserts.calls
 
 
 def load_checks():

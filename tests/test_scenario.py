@@ -17,6 +17,7 @@ from mopso_deploy.scenario import (
     discretize_region,
     joint_objective,
     load_scenario,
+    make_bound,
     make_objective,
     power_density,
     scenario_from_dict,
@@ -347,6 +348,61 @@ BOUNDED = [(20, 20), (16, 23), (21, 17), (24, 16), (40, 8), (8, 40), (80, 1), (1
 PLAIN = [(1, 1), (3, 5), (10, 10), (4, 4), (19, 10)]
 
 
+def corner_bound(scenario, flat):
+    """Per region, the least of the four corner columns of a full per-cell
+    (J, C) pass over its cells, the J terms of a column added in order."""
+    radar = scenario.radar
+    coef = radar.transmit_powers * radar.gains / (4.0 * math.pi)
+    floor = scenario.min_separation * scenario.min_separation
+    pos = np.asarray(flat, dtype=float).reshape(-1, 2)
+    out = []
+    for region in scenario.regions:
+        c, nx, ny = region.cells, region.nx, region.ny
+        d2 = (pos[:, 0, None] - c[None, :, 0]) ** 2 + (pos[:, 1, None] - c[None, :, 1]) ** 2
+        density = (coef[:, None] / np.maximum(d2, floor)).sum(axis=0)
+        out.append(density[[0, nx - 1, (ny - 1) * nx, ny * nx - 1]].min())
+    return np.array(out)
+
+
+def random_case(seed, j, grids, batch):
+    """A scenario with one region per (nx, ny) of ``grids`` and ``batch``
+    flat layouts of ``j`` antennas, some inside a region, on its cell
+    centres or corner cells, or within the floor distance of a cell."""
+    rng = np.random.default_rng(seed)
+    # regions apart in x and in y, so a line taken from the wrong
+    # region's list is far from every cell of the right one
+    regions = tuple(
+        InterferenceRegion(Rectangle(3000.0 * i, 3000.0 * i + 2000.0,
+                                     2500.0 * i, 2500.0 * i + 1700.0), nx, ny)
+        for i, (nx, ny) in enumerate(grids)
+    )
+    sep = 60.0
+    sc = Scenario(
+        Rectangle(-1000.0, 3000.0 * len(grids), -1000.0, 2500.0 * len(grids) + 500.0),
+        regions,
+        RadarParams(rng.uniform(1e3, 2e4, j), rng.uniform(1.0, 1e4, j)),
+        min_separation=sep,
+    )
+    layouts = rng.uniform(-1000.0, 3000.0 * len(grids), (batch, j, 2))
+    layouts[..., 1] = rng.uniform(-1000.0, 2500.0 * len(grids) + 500.0, (batch, j))
+    for row in layouts:
+        region = regions[rng.integers(len(regions))]
+        cells = region.cells[rng.integers(region.n_cells, size=j)]
+        kind = rng.integers(5)
+        if kind == 1:
+            row[:] = cells
+        elif kind == 2:
+            row[:] = cells + rng.uniform(-sep, sep, (j, 2)) / 2.0
+        elif kind == 3:
+            row[0] = rng.uniform([region.bounds.x_min, region.bounds.y_min],
+                                 [region.bounds.x_max, region.bounds.y_max])
+        elif kind == 4:
+            nx, ny = region.nx, region.ny
+            corners = region.cells[[0, nx - 1, (ny - 1) * nx, ny * nx - 1]]
+            row[: min(j, 4)] = corners[rng.integers(4, size=min(j, 4))]
+    return sc, layouts.reshape(batch, -1)
+
+
 class TestBlockBound:
     """The bounded kernel (regions of 16 or more blocks) against the full
     pass, byte for byte, one layout or a batch at a time."""
@@ -359,45 +415,54 @@ class TestBlockBound:
     )
     @settings(max_examples=60, deadline=None)
     def test_batch_rows_equal_single_calls_and_the_oracles(self, seed, j, grids, batch):
-        rng = np.random.default_rng(seed)
-        # regions apart in x and in y, so a line taken from the wrong
-        # region's list is far from every cell of the right one
-        regions = tuple(
-            InterferenceRegion(Rectangle(3000.0 * i, 3000.0 * i + 2000.0,
-                                         2500.0 * i, 2500.0 * i + 1700.0), nx, ny)
-            for i, (nx, ny) in enumerate(grids)
-        )
-        sep = 60.0
-        sc = Scenario(
-            Rectangle(-1000.0, 3000.0 * len(grids), -1000.0, 2500.0 * len(grids) + 500.0),
-            regions,
-            RadarParams(rng.uniform(1e3, 2e4, j), rng.uniform(1.0, 1e4, j)),
-            min_separation=sep,
-        )
+        sc, flat = random_case(seed, j, grids, batch)
+        regions = sc.regions
         assert takes_batches(sc) == all(g in BOUNDED for g in grids)
-        layouts = rng.uniform(-1000.0, 3000.0 * len(grids), (batch, j, 2))
-        layouts[..., 1] = rng.uniform(-1000.0, 2500.0 * len(grids) + 500.0, (batch, j))
-        # antennas inside a region, on a cell centre and within the floor
-        # distance of one
-        for row in layouts:
-            region = regions[rng.integers(len(regions))]
-            cells = region.cells[rng.integers(region.n_cells, size=j)]
-            kind = rng.integers(4)
-            if kind == 1:
-                row[:] = cells
-            elif kind == 2:
-                row[:] = cells + rng.uniform(-sep, sep, (j, 2)) / 2.0
-            elif kind == 3:
-                row[0] = rng.uniform([region.bounds.x_min, region.bounds.y_min],
-                                     [region.bounds.x_max, region.bounds.y_max])
         objective = make_objective(sc)
-        flat = layouts.reshape(batch, -1)
         rows = objective(flat) if takes_batches(sc) else np.array([objective(f) for f in flat])
         assert rows.shape == (batch, len(regions))
         for row, f in zip(rows, flat):
             assert row.tobytes() == objective(f).tobytes()
             assert row.tobytes() == reference_objective(sc, f).tobytes()
             assert row.tobytes() == plain_objective(sc, f).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.sampled_from([1, 2, 8, 16]),
+        grids=st.lists(st.sampled_from(BOUNDED), min_size=1, max_size=3),
+        batch=st.integers(1, 31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_is_the_least_corner_density(self, seed, j, grids, batch):
+        # every entry is a cell density of the full pass to the bit
+        sc, flat = random_case(seed, j, grids, batch)
+        got = make_bound(sc)(flat)
+        assert got.shape == (batch, len(grids))
+        for row, f in zip(got, flat):
+            assert row.tobytes() == corner_bound(sc, f).tobytes()
+
+    @pytest.mark.parametrize("grids", [[(16, 23), (40, 8), (1, 80)], [(21, 17), (20, 20)]])
+    def test_bound_on_sixteen_antennas(self, grids):
+        sc, flat = random_case(5, 16, grids, 40)
+        got = make_bound(sc)(flat)
+        assert np.array_equal(got, np.array([corner_bound(sc, f) for f in flat]))
+        assert (got >= make_objective(sc)(flat)).all()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.sampled_from([1, 3, 8, 16]),
+        grids=st.lists(st.sampled_from(BOUNDED), min_size=1, max_size=3),
+        batch=st.integers(1, 31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_is_never_below_the_objective(self, seed, j, grids, batch):
+        sc, flat = random_case(seed, j, grids, batch)
+        assert (make_bound(sc)(flat) >= make_objective(sc)(flat)).all()
+
+    @pytest.mark.parametrize("grids", [[(10, 10)], [(20, 20), (4, 4)], [(1, 1)]])
+    def test_no_bound_on_plain_grids(self, grids):
+        sc, _ = random_case(0, 2, grids, 1)
+        assert make_bound(sc) is None
 
     def test_paper_windows_equal_the_reference(self, rng):
         # recorded-like windows of the default scenario, every batch size of
