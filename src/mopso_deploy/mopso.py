@@ -338,19 +338,19 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
     particle reads them.
 
     A ``bound`` maps a window's (n, D) positions to (n, M) values no lower
-    than the objective's. With one, only rows whose bound u is not finite,
-    or no member dominates, or dominates the particle's personal best are
-    evaluated, in one call mapping (n', D) to (n', M), and offered to the
-    archive. The others change nothing: their value v <= u, so a member
-    dominating u dominates v, and if v dominated the personal best, u would
-    too; u stands in for v in the personal-best update.
+    than the objective's. With one, each window is screened before anything
+    is evaluated: only rows whose bound u is not finite, or no member
+    dominates, or dominates the particle's personal best are evaluated, one
+    at a time, and offered to the archive. The others change nothing: their
+    value v <= u, so a member dominating u dominates v, and if v dominated
+    the personal best, u would too; u stands in for v in the personal-best
+    update.
 
     Arrays and generator end exactly as a particle-by-particle loop over the
     same block leaves them. If the objective or the archive raises on a
     particle, those before it are left updated and the rest as they were
-    (the loop has moved that one, not its personal best); a failed call on
-    a screened window leaves all of it as it was. Mutates ``swarm`` and
-    ``archive`` in place and returns them.
+    (the loop has moved that one, not its personal best). Mutates ``swarm``
+    and ``archive`` in place and returns them.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -364,16 +364,15 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
             leaders = select_leader(archive, draws[window, :3].tolist())
             velocity = update_velocity(swarm, window, leaders, draws[window, 3:], cfg)
             position = update_position(swarm, window, velocity, lower, upper)
-            rows, batch, end = range(len(position)), None, 0
+            rows, end = range(len(position)), 0
             try:
                 if bound is not None:
                     u = values[window] = bound(position)
                     open_ = ~archive.dominated(u) | dominance(u, swarm.best_value[window])
                     rows = np.flatnonzero(open_ | ~np.isfinite(u).all(axis=1)).tolist()
-                    batch = objective(position[rows]) if rows else None
-                for n, k in enumerate(rows):
+                for k in rows:
                     end = k  # if row k raises, the rows before it commit
-                    values[start + k] = objective(position[k]) if batch is None else batch[n]
+                    values[start + k] = objective(position[k])
                     if archive.insert(position[k], values[start + k], rng):
                         end = k + 1
                         break

@@ -8,6 +8,10 @@ interference regions discretized into resolution-cell centers, and the
 radar transmit parameters. The objective of a candidate antenna layout
 is, per region, the minimum free-space power density over the region's
 cells; the joint objective stacks one value per region (maximization).
+A bound closure (``make_bound``) maps a batch of layouts to upper bounds
+on their objectives, each region's least density at its corner cells: a
+layout whose bound can change neither the archive nor its particle's
+personal best is never evaluated exactly (``mopso.step``).
 
 All types are immutable after construction. An objective closure
 (``make_objective``) owns scratch buffers that each call overwrites: it
@@ -216,92 +220,37 @@ def _density_minima(cell_sets, radar, min_separation):
     return minima
 
 
-# A region is bounded if it has at least _MIN_BLOCKS blocks of _BLOCK x
-# _BLOCK cells. Default experiment on two g x g grids, batched and bounded vs
-# the full pass per particle (2 vCPUs, medians of 12), g: 1000-iteration runs
-# 10: -21%, 12: -20%, 15: -35%, 16: -30%, 20: -44%; runs halting at the stop
-# 10: +60%, 12: +7%, 15: +32%, 16: +21%, 20: -8%. 16 keeps desk's 10 x 10 out.
-_BLOCK, _MIN_BLOCKS = 5, 16
+def _corner_bound(regions, radar, min_separation):
+    """Closure mapping a (B, 2J) batch of layouts to (B, M) upper bounds on
+    their objective rows: per region, the least density at its four corner
+    cells, or +inf for a one-cell region.
 
-
-def _block_minima(regions, radar, min_separation):
-    """Closures (minima, bound). ``minima`` maps a flat layout (2J,) or a
-    (B, 2J) batch to its region minima, bit for bit those of
-    ``_density_minima``; ``bound`` maps a (B, 2J) batch to each region's
-    least corner-cell density: a cell's density in the full pass to the bit,
-    so never below the region minimum.
-
-    A cell's squared distance is DX[col] + DY[row], as in the full pass. A
-    block's lower bound is the density at the larger DX and DY of its first
-    and last lines: subtraction, squaring, addition, max, division and an
-    in-order sum are monotone under rounding, so it exceeds none of its
-    cells'. The density at the region's corner cells bounds its minimum from
-    above; only blocks whose lower bound does not exceed that are evaluated
-    cell by cell (branch and bound; Hansen & Walster, Global Optimization
-    Using Interval Analysis, 2004). Row j * B + b of every plane is antenna j
-    of layout b, so each density sums a C-ordered (J, B * n) view over axis 0:
-    the J terms are added in order, as in the full pass, not pairwise.
+    Each corner density is that cell's density in ``_density_minima`` to the
+    bit, so never below the region minimum: the same subtraction, squaring,
+    addition, floor and division, and row j * B + b is antenna j of layout
+    b, so each density sums a C-ordered (J, B * 4M) array over axis 0, adding
+    the J terms in order as the full pass does. The full pass adds a
+    one-cell region's lone column pairwise, which can round above the
+    in-order sum; that region's bound is +inf instead.
     """
-    # Every grid's lines side by side, each padded to whole blocks with its
-    # last line: x block i is lines [i * _BLOCK, (i + 1) * _BLOCK). Block k
-    # spans x block kx[k] and y block ky[k].
-    xs, ys, blocks, corners = [], [], [], []
-    for r in regions:
-        nbx, nby, x0, y0 = -(-r.nx // _BLOCK), -(-r.ny // _BLOCK), len(xs), len(ys)
-        xs.extend(r.cells[: r.nx, 0][np.minimum(np.arange(nbx * _BLOCK), r.nx - 1)])
-        ys.extend(r.cells[:: r.nx, 1][np.minimum(np.arange(nby * _BLOCK), r.ny - 1)])
-        blocks.append(np.indices((nbx, nby)).reshape(2, -1) + [[x0 // _BLOCK], [y0 // _BLOCK]])
-        corners += [(x, y) for y in (y0, len(ys) - 1) for x in (x0, len(xs) - 1)]
-    # Both axes' lines as the rows of one (2, L) array, the shorter padded
-    # with its own last line, so one pass builds both tables.
-    n_lines = max(len(xs), len(ys))
-    lines = np.array([a + a[-1:] * (n_lines - len(a)) for a in (xs, ys)])
-    sizes = [k.shape[1] for k in blocks]
-    (kx, ky), (cx, cy) = np.concatenate(blocks, axis=1), np.transpose(corners)
-    nb, n_blocks = n_lines // _BLOCK, len(kx)
-    starts, region_of = np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
-    # columns of a table: each block's bound, then the corner cells ...
-    x_take, y_take = np.concatenate([kx, nb + cx]), np.concatenate([ky, nb + cy])
-    # ... and each block's cells
-    x_cells = nb + _BLOCK * kx[:, None] + np.tile(np.arange(_BLOCK), _BLOCK)
-    y_cells = nb + _BLOCK * ky[:, None] + np.repeat(np.arange(_BLOCK), _BLOCK)
+    corners = np.concatenate(
+        [r.cells[[0, r.nx - 1, r.n_cells - r.nx, r.n_cells - 1]] for r in regions]
+    ).T[:, None, :]
     coef = (radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None]
     floor = min_separation * min_separation
-
-    def density(d2):
-        np.maximum(d2, floor, out=d2)
-        return np.divide(coef, d2, out=d2).sum(axis=0)
-
-    def minima(flat):
-        flat = np.asarray(flat, dtype=float)
-        sq = flat.reshape(-1, len(coef), 2).T.reshape(2, -1, 1) - lines[:, None, :]
-        sq *= sq
-        # (2, J * B, nb + L): per block the larger squared offset of its first
-        # and last lines, then the squared offset to every line
-        firsts = np.maximum(sq[:, :, ::_BLOCK], sq[:, :, _BLOCK - 1 :: _BLOCK])
-        t = np.concatenate([firsts, sq], axis=2)
-        # block lower bounds, then 4 corners a region
-        d2 = t[0].take(x_take, axis=1) + t[1].take(y_take, axis=1)
-        bounds = density(d2.reshape(len(coef), -1)).reshape(-1, len(x_take))
-        upper = bounds[:, n_blocks:].reshape(len(bounds), -1, 4).min(axis=2)
-        b, k = np.nonzero(bounds[:, :n_blocks] <= upper[:, region_of])
-        row, (tx, ty) = (b * t.shape[2])[:, None], t.reshape(2, len(coef), -1)
-        d2 = tx.take((x_cells[k] + row).ravel(), axis=1)
-        d2 += ty.take((y_cells[k] + row).ravel(), axis=1)
-        best = np.full((len(bounds), n_blocks), np.inf)
-        best[b, k] = density(d2).reshape(-1, _BLOCK * _BLOCK).min(axis=1)
-        out = np.minimum.reduceat(best, starts, axis=1)
-        return out if flat.ndim == 2 else out[0]
-
-    corner_lines = np.array([lines[0, cx], lines[1, cy]])[:, None, :]
+    lone = [q for q, r in enumerate(regions) if r.n_cells == 1]
 
     def bound(flat):
-        sq = flat.reshape(-1, len(coef), 2).T.reshape(2, -1, 1) - corner_lines
+        sq = flat.reshape(-1, len(coef), 2).T.reshape(2, -1, 1) - corners
         sq *= sq
         d2 = np.add(sq[0], sq[1], out=sq[0]).reshape(len(coef), -1)
-        return density(d2).reshape(len(flat), -1, 4).min(axis=2)
+        np.maximum(d2, floor, out=d2)
+        u = np.divide(coef, d2, out=d2).sum(axis=0).reshape(len(flat), -1, 4).min(axis=2)
+        if lone:
+            u[:, lone] = np.inf
+        return u
 
-    return minima, bound
+    return bound
 
 
 def power_density(layout, cell, radar, min_separation):
@@ -320,30 +269,19 @@ def joint_objective(layout, scenario):
     return make_objective(scenario)(_as_layout(layout, scenario.radar).ravel())
 
 
-def takes_batches(scenario):
-    """Whether ``make_objective(scenario)`` takes a window of layouts at
-    once: whether every region has at least _MIN_BLOCKS blocks to bound."""
-    return all(-(-r.nx // _BLOCK) * -(-r.ny // _BLOCK) >= _MIN_BLOCKS for r in scenario.regions)
-
-
 def make_objective(scenario):
-    """Fast closure mapping a flat decision vector (2J,) to the objective
-    and, when ``takes_batches(scenario)``, a (B, 2J) batch to (B, M) rows.
+    """Fast closure mapping a flat decision vector (2J,) to the objective.
 
     Unvalidated; equivalent to ``joint_objective`` on the reshaped layout.
     """
-    regions, radar, sep = scenario.regions, scenario.radar, scenario.min_separation
-    if takes_batches(scenario):
-        return _block_minima(regions, radar, sep)[0]
-    return _density_minima([r.cells for r in regions], radar, sep)
+    return _density_minima([r.cells for r in scenario.regions], scenario.radar,
+                           scenario.min_separation)
 
 
 def make_bound(scenario):
-    """When ``takes_batches(scenario)``, ``_block_minima``'s closure mapping a
-    (B, 2J) batch to (B, M) upper bounds on its objective rows; else None."""
-    if takes_batches(scenario):
-        return _block_minima(scenario.regions, scenario.radar, scenario.min_separation)[1]
-    return None
+    """``_corner_bound``'s closure mapping a (B, 2J) batch of decision
+    vectors to (B, M) upper bounds on their objective rows."""
+    return _corner_bound(scenario.regions, scenario.radar, scenario.min_separation)
 
 
 # ---------------------------------------------------------------------------

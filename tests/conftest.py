@@ -15,9 +15,17 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 def paper_scenario(nx=20, ny=20):
     """``configs/default_scenario.json`` with every region on an nx-by-ny grid."""
-    doc = json.loads((CONFIGS / "default_scenario.json").read_text(encoding="utf-8"))
-    for region in doc["regions"]:
-        region["grid"] = {"nx": nx, "ny": ny}
+    return grid_scenario("default_scenario.json", [(nx, ny)] * 2)
+
+
+def grid_scenario(name, grids):
+    """The scenario file ``configs/<name>`` with region q on the (nx, ny)
+    grid ``grids[q]``; a region of 45-60 km in x and y is added if ``grids``
+    has more entries than the file has regions."""
+    doc = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    extra = {"bounds": {"x_min": 45, "x_max": 60, "y_min": 45, "y_max": 60, "unit": "km"}}
+    regions = doc["regions"] + [extra] * (len(grids) - len(doc["regions"]))
+    doc["regions"] = [dict(r, grid={"nx": nx, "ny": ny}) for r, (nx, ny) in zip(regions, grids)]
     return scenario_from_dict(doc)
 
 

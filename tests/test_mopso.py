@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    grid_scenario,
     oracle_dominates,
     oracle_pareto_indices,
-    paper_scenario,
     reference_step,
 )
 from mopso_deploy.mopso import (
@@ -25,7 +25,7 @@ from mopso_deploy.mopso import (
     update_position,
     update_velocity,
 )
-from mopso_deploy.scenario import make_bound, make_objective, takes_batches
+from mopso_deploy.scenario import make_bound, make_objective
 
 # objective values on a small integer grid, signed zero included
 GRID = st.one_of(st.integers(-2, 3).map(float), st.just(-0.0))
@@ -595,9 +595,15 @@ def rowwise(objective):
     return lambda x: np.array([objective(row) for row in x])
 
 
-def infinite_bound(x):
-    """A bound that screens out no row."""
-    return np.full((len(x), 2), np.inf)
+# every kind of grid run_single screens windows on: the default 20 x 20,
+# desk's 10 x 10, front-m3's three 4 x 4 regions, and a one-cell region
+# (whose bound is +inf) beside a 20 x 20 one
+STEP_SCENARIOS = {
+    "default": ("default_scenario.json", [(20, 20)] * 2),
+    "desk": ("desk_scenario.json", [(10, 10)] * 2),
+    "front-m3": ("default_scenario.json", [(4, 4)] * 3),
+    "one-cell": ("default_scenario.json", [(1, 1), (20, 20)]),
+}
 
 
 def assert_same_state(got, want):
@@ -677,9 +683,11 @@ class TestWindowedStep:
             reference_step(*want[:2], sphere_objectives, self.LOWER, self.UPPER, cfg, want[2])
             assert_same_state(got, want)
 
-    def test_insert_once_per_candidate(self, monkeypatch):
+    @pytest.mark.parametrize("screened", [False, True], ids=["plain", "screened"])
+    def test_insert_once_per_candidate(self, monkeypatch, screened):
         # step offers every evaluated candidate to the archive once, through
-        # insert, which decides admission and removal in the same call
+        # insert, which decides admission and removal in the same call; the
+        # tight bound screens most of them out, and evaluates none of those
         cfg = MopsoConfig(swarm_size=10, v_max=1.0, archive_capacity=4)
         rng = np.random.default_rng(2)
         swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
@@ -694,10 +702,15 @@ class TestWindowedStep:
             evaluated.append(x)
             return sphere_objectives(x)
 
+        bound = rowwise(sphere_objectives) if screened else None
         monkeypatch.setattr(ParetoArchive, "insert", counted)
         for _ in range(5):
-            step(swarm, archive, objective, self.LOWER, self.UPPER, cfg, rng)
-        assert len(tested) == len(evaluated) == 5 * cfg.swarm_size
+            step(swarm, archive, objective, self.LOWER, self.UPPER, cfg, rng, bound)
+        assert len(tested) == len(evaluated)
+        if screened:
+            assert 0 < len(evaluated) < 5 * cfg.swarm_size
+        else:
+            assert len(evaluated) == 5 * cfg.swarm_size
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -727,23 +740,15 @@ class TestWindowedStep:
         got = (swarm, archive, rng)
         want = copy.deepcopy(got)
         for _ in range(4):
-            step(*got[:2], rowwise(objective), self.LOWER, self.UPPER, cfg, got[2], bound)
+            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2], bound)
             reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
             assert_same_state(got, want)
 
     @pytest.mark.parametrize("capacity", [None, 6])
-    def test_batched_scenario_objective_matches_per_particle_loop(self, capacity):
-        # an infinite bound screens out no row, so step hands each window's
-        # positions to the objective in one call; the loop evaluates one at
-        # a time
-        sc = paper_scenario(20, 20)
-        assert takes_batches(sc)
-        self.assert_scenario_step_matches(sc, capacity, infinite_bound)
-
-    @pytest.mark.parametrize("capacity", [None, 6])
-    def test_scenario_bound_matches_per_particle_loop(self, capacity):
-        # the default grid's corner-cell bound, as run_single passes it
-        sc = paper_scenario(20, 20)
+    @pytest.mark.parametrize("kind", STEP_SCENARIOS)
+    def test_scenario_bound_matches_per_particle_loop(self, kind, capacity):
+        # the corner-cell bound, as run_single passes it
+        sc = grid_scenario(*STEP_SCENARIOS[kind])
         self.assert_scenario_step_matches(sc, capacity, make_bound(sc))
 
     @staticmethod
@@ -795,9 +800,9 @@ class TestWindowedStep:
         with pytest.raises(ValueError, match="non-finite"):
             reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
         got = copy.deepcopy(start)
-        screen = (rowwise(objective),) * 2 if screened else (objective, None)
+        bound = rowwise(objective) if screened else None
         with pytest.raises(ValueError, match="non-finite"):
-            step(*got[:2], screen[0], self.LOWER, self.UPPER, cfg, got[2], screen[1])
+            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2], bound)
         before = failing - 1
         np.testing.assert_equal(got[2].bit_generator.state, want[2].bit_generator.state)
         assert got[1].values().tobytes() == want[1].values().tobytes()
@@ -806,47 +811,3 @@ class TestWindowedStep:
                     == getattr(want[0], name)[:before].tobytes()), name
             assert (getattr(got[0], name)[before:].tobytes()
                     == getattr(start[0], name)[before:].tobytes()), name
-
-    def test_batched_objective_that_raises_leaves_its_window_uncommitted(self, monkeypatch):
-        # the second window's one call raises: none of its particles moves,
-        # as the per-particle loop leaves them when that window's first
-        # evaluation raises
-        cfg = MopsoConfig(swarm_size=12, v_max=1.0)
-        rng = np.random.default_rng(3)
-        swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
-        start = copy.deepcopy((swarm, archive, rng))
-        insert, inserted = ParetoArchive.insert, []
-
-        def counted(self, position, value, rng=None):
-            inserted.append(value)
-            return insert(self, position, value, rng)
-
-        monkeypatch.setattr(ParetoArchive, "insert", counted)
-        windows = []
-
-        def batched(x):
-            windows.append(len(x))
-            if len(windows) == 2:
-                raise RuntimeError("objective failed")
-            return np.array([sphere_objectives(row) for row in x])
-
-        got = copy.deepcopy(start)
-        with pytest.raises(RuntimeError):
-            step(*got[:2], batched, self.LOWER, self.UPPER, cfg, got[2], infinite_bound)
-        committed = len(inserted)
-        assert 1 <= committed <= windows[0] and len(windows) == 2
-        singles = []
-
-        def single(x):
-            singles.append(x)
-            if len(singles) == committed + 1:
-                raise RuntimeError("objective failed")
-            return sphere_objectives(x)
-
-        want = copy.deepcopy(start)
-        with pytest.raises(RuntimeError):
-            step(*want[:2], single, self.LOWER, self.UPPER, cfg, want[2])
-        assert_same_state(got, want)
-        for name in ("position", "velocity", "best_position", "best_value"):
-            assert (getattr(got[0], name)[committed:].tobytes()
-                    == getattr(start[0], name)[committed:].tobytes())

@@ -102,18 +102,16 @@ def test_traced_run_counts_every_layer(monkeypatch):
     assert traced.stats["mopso.select_leader"].calls == len(windows)
     assert traced.stats["mopso.update_position"].calls == len(windows)
     assert traced.stats["mopso.update_personal_best"].calls == iterations
-    # the default grid is bounded, so step screens each window by the bound
-    # and evaluates the rows left, if any, in one call, after one call per
-    # particle to seed the swarm
-    exact_windows = sum(not all(screen) for screen in screens)
-    assert traced.stats["scenario.objective"].calls == n + exact_windows
+    # step screens each window by the bound, after one call per particle
+    # to seed the swarm; it offers every exact evaluation to the archive once
+    inserts = traced.stats["mopso.archive_insert"]
+    assert init_inserts and 1 <= init_inserts[0] <= n
+    assert traced.stats["scenario.objective"].calls - n == inserts.calls - init_inserts[0]
     # a window commits its rows up to where the next one starts; its
     # committed rows are either screened out or offered to the archive
     ends = [w.start or n for w in windows[1:]] + [n]
     screened_out = sum(sum(screen[: end - w.start])
                        for screen, w, end in zip(screens, windows, ends))
-    inserts = traced.stats["mopso.archive_insert"]
-    assert init_inserts and 1 <= init_inserts[0] <= n
     assert inserts.calls + screened_out == iterations * n + init_inserts[0]
     assert 0 < screened_out and 0 < inserts.accepted < inserts.calls
 

@@ -21,7 +21,6 @@ from mopso_deploy.scenario import (
     make_objective,
     power_density,
     scenario_from_dict,
-    takes_batches,
 )
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -295,8 +294,7 @@ class TestJointObjective:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_layout_rejected(self, rng, nx, bad):
         # NaN would come back as [nan nan] and +-inf as [0. 0.], a finite
-        # value the archive would take; the bounded kernel would turn a NaN
-        # into +inf, since NaN fails every comparison with a bound
+        # value the archive would take
         layout = rng.uniform(0, 70000, (8, 2))
         layout[3, 1] = bad
         for flat in (layout, layout.ravel()):
@@ -305,7 +303,6 @@ class TestJointObjective:
 
     def test_joint_objective_is_one_vector_on_a_bounded_grid(self, rng):
         sc = paper_scenario()
-        assert takes_batches(sc)
         layout = rng.uniform(0, 70000, (8, 2))
         got = joint_objective(layout, sc)
         assert got.shape == (2,)
@@ -342,15 +339,16 @@ def plain_objective(scenario, flat):
     return np.array(out)
 
 
-# bounded grids: at least 16 blocks of 5 x 5 cells, ragged, one line thick or
-# not, with more x lines than y lines or fewer (the kernel pads the shorter)
-BOUNDED = [(20, 20), (16, 23), (21, 17), (24, 16), (40, 8), (8, 40), (80, 1), (1, 80)]
-PLAIN = [(1, 1), (3, 5), (10, 10), (4, 4), (19, 10)]
+# grids square or not, one line thick, one cell (whose four corners are one
+# cell), with more x lines than y lines or fewer
+GRIDS = [(20, 20), (16, 23), (21, 17), (24, 16), (40, 8), (8, 40), (80, 1), (1, 80),
+         (1, 1), (3, 5), (10, 10), (4, 4), (19, 10)]
 
 
 def corner_bound(scenario, flat):
     """Per region, the least of the four corner columns of a full per-cell
-    (J, C) pass over its cells, the J terms of a column added in order."""
+    (J, C) pass over its cells, the J terms of a column added in order; +inf
+    for a one-cell region, whose lone column the objective adds pairwise."""
     radar = scenario.radar
     coef = radar.transmit_powers * radar.gains / (4.0 * math.pi)
     floor = scenario.min_separation * scenario.min_separation
@@ -358,6 +356,9 @@ def corner_bound(scenario, flat):
     out = []
     for region in scenario.regions:
         c, nx, ny = region.cells, region.nx, region.ny
+        if len(c) == 1:
+            out.append(np.inf)
+            continue
         d2 = (pos[:, 0, None] - c[None, :, 0]) ** 2 + (pos[:, 1, None] - c[None, :, 1]) ** 2
         density = (coef[:, None] / np.maximum(d2, floor)).sum(axis=0)
         out.append(density[[0, nx - 1, (ny - 1) * nx, ny * nx - 1]].min())
@@ -404,84 +405,60 @@ def random_case(seed, j, grids, batch):
 
 
 class TestBlockBound:
-    """The bounded kernel (regions of 16 or more blocks) against the full
-    pass, byte for byte, one layout or a batch at a time."""
+    """The per-layout objective against its oracles, and the corner-cell
+    bound against its oracle and the objective, byte for byte."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         j=st.sampled_from([1, 2, 3, 8, 9, 16]),
-        grids=st.lists(st.sampled_from(BOUNDED + PLAIN), min_size=1, max_size=3),
+        grids=st.lists(st.sampled_from(GRIDS), min_size=1, max_size=3),
         batch=st.integers(1, 31),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batch_rows_equal_single_calls_and_the_oracles(self, seed, j, grids, batch):
+    def test_rows_equal_the_oracles(self, seed, j, grids, batch):
         sc, flat = random_case(seed, j, grids, batch)
-        regions = sc.regions
-        assert takes_batches(sc) == all(g in BOUNDED for g in grids)
         objective = make_objective(sc)
-        rows = objective(flat) if takes_batches(sc) else np.array([objective(f) for f in flat])
-        assert rows.shape == (batch, len(regions))
-        for row, f in zip(rows, flat):
-            assert row.tobytes() == objective(f).tobytes()
+        for f in flat:
+            row = objective(f)
+            assert row.shape == (len(grids),)
             assert row.tobytes() == reference_objective(sc, f).tobytes()
             assert row.tobytes() == plain_objective(sc, f).tobytes()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        j=st.sampled_from([1, 2, 8, 16]),
-        grids=st.lists(st.sampled_from(BOUNDED), min_size=1, max_size=3),
+        j=st.sampled_from([1, 2, 8, 9, 16]),
+        grids=st.lists(st.sampled_from(GRIDS), min_size=1, max_size=3),
         batch=st.integers(1, 31),
     )
     @settings(max_examples=60, deadline=None)
     def test_bound_is_the_least_corner_density(self, seed, j, grids, batch):
-        # every entry is a cell density of the full pass to the bit
+        # every finite entry is a cell density of the full pass to the bit
         sc, flat = random_case(seed, j, grids, batch)
         got = make_bound(sc)(flat)
         assert got.shape == (batch, len(grids))
         for row, f in zip(got, flat):
             assert row.tobytes() == corner_bound(sc, f).tobytes()
 
-    @pytest.mark.parametrize("grids", [[(16, 23), (40, 8), (1, 80)], [(21, 17), (20, 20)]])
+    @pytest.mark.parametrize("grids", [[(16, 23), (40, 8), (1, 80)], [(21, 17), (20, 20)],
+                                       [(1, 1), (10, 10)]])
     def test_bound_on_sixteen_antennas(self, grids):
         sc, flat = random_case(5, 16, grids, 40)
         got = make_bound(sc)(flat)
         assert np.array_equal(got, np.array([corner_bound(sc, f) for f in flat]))
-        assert (got >= make_objective(sc)(flat)).all()
+        objective = make_objective(sc)
+        assert (got >= np.array([objective(f) for f in flat])).all()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        j=st.sampled_from([1, 3, 8, 16]),
-        grids=st.lists(st.sampled_from(BOUNDED), min_size=1, max_size=3),
+        j=st.sampled_from([1, 3, 8, 9, 16]),
+        grids=st.lists(st.sampled_from(GRIDS), min_size=1, max_size=3),
         batch=st.integers(1, 31),
     )
     @settings(max_examples=60, deadline=None)
     def test_bound_is_never_below_the_objective(self, seed, j, grids, batch):
         sc, flat = random_case(seed, j, grids, batch)
-        assert (make_bound(sc)(flat) >= make_objective(sc)(flat)).all()
-
-    @pytest.mark.parametrize("grids", [[(10, 10)], [(20, 20), (4, 4)], [(1, 1)]])
-    def test_no_bound_on_plain_grids(self, grids):
-        sc, _ = random_case(0, 2, grids, 1)
-        assert make_bound(sc) is None
-
-    def test_paper_windows_equal_the_reference(self, rng):
-        # recorded-like windows of the default scenario, every batch size of
-        # a 30-particle swarm, some antennas inside the regions
-        sc = paper_scenario()
         objective = make_objective(sc)
-        for batch in range(1, 31):
-            flat = rng.uniform(0, 70000, (batch, 16))
-            flat[::3, :2] = sc.regions[batch % 2].cells[rng.integers(400)]
-            rows = objective(flat)
-            for row, f in zip(rows, flat):
-                assert row.tobytes() == reference_objective(sc, f).tobytes()
-
-    @pytest.mark.parametrize("nx, ny, bounded", [(20, 20, True), (16, 16, True),
-                                                 (15, 15, False), (10, 10, False),
-                                                 (4, 4, False), (80, 1, True),
-                                                 (1, 80, True), (75, 1, False)])
-    def test_which_grids_are_bounded(self, nx, ny, bounded):
-        assert takes_batches(paper_scenario(nx=nx, ny=ny)) == bounded
+        assert (make_bound(sc)(flat) >= np.array([objective(f) for f in flat])).all()
 
 
 class TestValidation:
