@@ -595,6 +595,11 @@ def rowwise(objective):
     return lambda x: np.array([objective(row) for row in x])
 
 
+def infinite_bound(x):
+    """A bound that screens out no row."""
+    return np.full((len(x), 2), np.inf)
+
+
 # every kind of grid run_single screens windows on: the default 20 x 20,
 # desk's 10 x 10, front-m3's three 4 x 4 regions, and a one-cell region
 # (whose bound is +inf) beside a 20 x 20 one
@@ -751,6 +756,13 @@ class TestWindowedStep:
         sc = grid_scenario(*STEP_SCENARIOS[kind])
         self.assert_scenario_step_matches(sc, capacity, make_bound(sc))
 
+    @pytest.mark.parametrize("capacity", [None, 6])
+    def test_unscreening_bound_matches_per_particle_loop(self, capacity):
+        # an infinite bound screens out no row, so every row of a window is
+        # evaluated until the first admission, as the loop evaluates them
+        sc = grid_scenario(*STEP_SCENARIOS["default"])
+        self.assert_scenario_step_matches(sc, capacity, infinite_bound)
+
     @staticmethod
     def assert_scenario_step_matches(sc, capacity, bound):
         objective = make_objective(sc)
@@ -803,6 +815,51 @@ class TestWindowedStep:
         bound = rowwise(objective) if screened else None
         with pytest.raises(ValueError, match="non-finite"):
             step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2], bound)
+        before = failing - 1
+        np.testing.assert_equal(got[2].bit_generator.state, want[2].bit_generator.state)
+        assert got[1].values().tobytes() == want[1].values().tobytes()
+        for name in ("position", "velocity", "best_position", "best_value"):
+            assert (getattr(got[0], name)[:before].tobytes()
+                    == getattr(want[0], name)[:before].tobytes()), name
+            assert (getattr(got[0], name)[before:].tobytes()
+                    == getattr(start[0], name)[before:].tobytes()), name
+
+    @pytest.mark.parametrize("screened", [False, True], ids=["plain", "screened"])
+    @pytest.mark.parametrize("failing", [1, 4, 12])
+    def test_objective_that_raises_leaves_the_rest_uncommitted(self, failing, screened):
+        # the objective itself raises on the failing particle's candidate:
+        # the particles before it end as the per-particle loop leaves them,
+        # and none from it on moves. The screening bound is tight except on
+        # the failing row, whose +inf keeps it open
+        cfg = MopsoConfig(swarm_size=12, v_max=1.0)
+        rng = np.random.default_rng(3)
+        start = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng) + (rng,)
+        calls = []
+
+        def recorded(x):
+            calls.append(np.array(x))
+            return sphere_objectives(x)
+
+        reference_step(*copy.deepcopy(start)[:2], recorded, self.LOWER, self.UPPER, cfg,
+                       copy.deepcopy(rng))
+        failed = calls[failing - 1].tobytes()
+
+        def objective(x):
+            if x.tobytes() == failed:
+                raise RuntimeError("objective failed")
+            return sphere_objectives(x)
+
+        def bound(x):
+            return np.array([np.full(2, np.inf) if row.tobytes() == failed
+                             else sphere_objectives(row) for row in x])
+
+        want = copy.deepcopy(start)
+        with pytest.raises(RuntimeError):
+            reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
+        got = copy.deepcopy(start)
+        with pytest.raises(RuntimeError):
+            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2],
+                 bound if screened else None)
         before = failing - 1
         np.testing.assert_equal(got[2].bit_generator.state, want[2].bit_generator.state)
         assert got[1].values().tobytes() == want[1].values().tobytes()

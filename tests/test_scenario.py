@@ -460,6 +460,31 @@ class TestBlockBound:
         objective = make_objective(sc)
         assert (make_bound(sc)(flat) >= np.array([objective(f) for f in flat])).all()
 
+    def test_paper_windows_equal_the_reference(self, rng):
+        # recorded-like windows of the default scenario, every batch size of
+        # a 30-particle swarm, some antennas inside the regions
+        sc = paper_scenario()
+        objective = make_objective(sc)
+        for batch in range(1, 31):
+            flat = rng.uniform(0, 70000, (batch, 16))
+            flat[::3, :2] = sc.regions[batch % 2].cells[rng.integers(400)]
+            for f in flat:
+                assert objective(f).tobytes() == reference_objective(sc, f).tobytes()
+
+    @pytest.mark.parametrize("nx, ny", [(20, 20), (16, 16), (15, 15), (10, 10), (4, 4),
+                                        (80, 1), (1, 80), (75, 1), (1, 1)])
+    def test_every_grid_is_bounded(self, rng, nx, ny):
+        # no grid size goes unscreened: the bound is the corner oracle's,
+        # +inf only on a one-cell grid, and never below the objective
+        sc = paper_scenario(nx=nx, ny=ny)
+        flat = rng.uniform(0, 70000, (12, 16))
+        got = make_bound(sc)(flat)
+        assert np.array_equal(got, np.array([corner_bound(sc, f) for f in flat]))
+        assert np.isinf(got).all() == (nx * ny == 1)
+        assert np.isfinite(got).all() == (nx * ny > 1)
+        objective = make_objective(sc)
+        assert (got >= np.array([objective(f) for f in flat])).all()
+
 
 class TestValidation:
     def test_degenerate_rectangle(self):
