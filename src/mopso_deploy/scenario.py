@@ -8,15 +8,16 @@ interference regions discretized into resolution-cell centers, and the
 radar transmit parameters. The objective of a candidate antenna layout
 is, per region, the minimum free-space power density over the region's
 cells; the joint objective stacks one value per region (maximization).
-A bound closure (``make_bound``) maps a batch of layouts to upper bounds
-on their objectives, each region's least density at its corner cells: a
-layout whose bound can change neither the archive nor its particle's
-personal best is never evaluated exactly (``mopso.step``).
+The bound (``make_bound``) is the same density kernel over each region's
+corner cells only: per layout of a batch, an upper bound on its
+objective, exact on a one-cell region. A layout whose bound can change
+neither the archive nor its particle's personal best is never evaluated
+exactly (``mopso.step``).
 
-All types are immutable after construction. An objective closure
-(``make_objective``) owns scratch buffers that each call overwrites: it
-is safe to use in several processes, each with its own closure, but must
-not be shared between threads.
+All types are immutable after construction. The objective and bound
+closures own scratch buffers that each call overwrites: each is safe to
+use in several processes, each with its own closure, but must not be
+shared between threads.
 """
 
 from __future__ import annotations
@@ -172,96 +173,69 @@ def _as_layout(layout, radar):
 
 
 def _density_minima(cell_sets, radar, min_separation):
-    """Closure mapping a flat layout (2J,) to one value per cell set: the
-    minimum over its cells of the summed free-space power density.
+    """Closure mapping a flat layout (2J,) to (S,), or a batch (B, 2J) to
+    (B, S): one value per cell set, the minimum over its cells of the
+    summed free-space power density, P_t * G / (4 pi R^2) per antenna with
+    R clamped from below at ``min_separation`` to kill the R->0 pole.
 
-    Each antenna contributes P_t * G / (4 pi R^2), with R clamped from
-    below at ``min_separation`` to kill the R->0 pole. The closure owns
-    scratch buffers that every call overwrites: it may be used from one
-    thread at a time. The returned array is fresh on every call.
+    A cell's density has the same bits in any batch and beside any other
+    cell sets. The closure keeps scratch buffers per batch size, which
+    every call overwrites: it may be used from one thread at a time. The
+    returned array is fresh on every call.
     """
-    # All cell sets side by side, so one (J, C) pass serves every set and
+    # All cell sets side by side, so one (J, B, C) pass serves every set and
     # reduceat takes each set's minimum over its own column range.
     cells = np.concatenate(cell_sets)
     sizes = [len(c) for c in cell_sets]
     starts = np.cumsum([0] + sizes[:-1])
-    # numpy adds the J rows of a one-column block pairwise (from eight rows
-    # on) but those of a wider block one after another; a one-cell set's
-    # column is summed alone so it keeps the rounding it has on its own.
+    # Summing the (J, B, C) array over axis 0 adds each cell's J terms in
+    # order, but numpy adds a lone column pairwise (from eight antennas on):
+    # a one-cell set's column is summed pairwise for every layout alike.
     lone = [int(k) for k, n in zip(starts, sizes) if n == 1]
-    # Every operand tiled once, so each pass below is one ufunc over
-    # contiguous arrays of one shape into a preallocated buffer: broadcasting
-    # a (J, 1) column or a Python float costs more than the arithmetic. The
-    # x and y planes are stacked so that one pass serves both.
-    shape = (radar.n_antennas, len(cells))
+    n_antennas = radar.n_antennas
+    coef = (radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None, None]
+    scratch = {}
 
-    def tile(a, to=shape):
-        return np.ascontiguousarray(np.broadcast_to(a, to))
+    def buffers(batch):
+        # Every operand tiled once, so each pass is one ufunc over contiguous
+        # arrays of one shape into a preallocated buffer: broadcasting costs
+        # more than the arithmetic. The x and y planes share each pass.
+        shape = (n_antennas, batch, len(cells))
 
-    coef = tile((radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None])
-    cxy = tile(cells.T[:, None, :], (2,) + shape)
-    floor = tile(min_separation * min_separation)
-    dxy = np.empty((2,) + shape)
-    d2 = dxy[0]
+        def tile(a, to=shape):
+            return np.ascontiguousarray(np.broadcast_to(a, to))
+
+        dxy = np.empty((2,) + shape)
+        return (tile(coef), tile(cells.T[:, None, None, :], (2,) + shape),
+                tile(min_separation * min_separation), dxy, dxy[0])
 
     def minima(flat):
-        pos = np.asarray(flat, dtype=float).reshape(-1, 2)
-        np.copyto(dxy, pos.T[:, :, None])
+        pos = np.asarray(flat, dtype=float)
+        layouts = pos.reshape(-1, n_antennas, 2)
+        if len(layouts) not in scratch:
+            scratch[len(layouts)] = buffers(len(layouts))
+        coefs, cxy, floor, dxy, d2 = scratch[len(layouts)]
+        np.copyto(dxy, layouts.T[..., None])
         np.subtract(dxy, cxy, out=dxy)
         np.multiply(dxy, dxy, out=dxy)
         np.add(dxy[0], dxy[1], out=d2)
         np.maximum(d2, floor, out=d2)
-        np.divide(coef, d2, out=d2)
+        np.divide(coefs, d2, out=d2)
         density = d2.sum(axis=0)
         for k in lone:
-            density[k] = d2[:, k].sum()
-        return np.minimum.reduceat(density, starts)
+            density[:, k] = np.ascontiguousarray(d2[:, :, k].T).sum(axis=1)
+        out = np.minimum.reduceat(density, starts, axis=1)
+        return out if pos.ndim > 1 else out[0]
 
     return minima
 
 
-def _corner_bound(regions, radar, min_separation):
-    """Closure mapping a (B, 2J) batch of layouts to (B, M) upper bounds on
-    their objective rows: per region, the least density at its four corner
-    cells, or +inf for a one-cell region.
-
-    Each corner density is that cell's density in ``_density_minima`` to the
-    bit, so never below the region minimum: the same subtraction, squaring,
-    addition, floor and division, and row j * B + b is antenna j of layout
-    b, so each density sums a C-ordered (J, B * 4M) array over axis 0, adding
-    the J terms in order as the full pass does. The full pass adds a
-    one-cell region's lone column pairwise, which can round above the
-    in-order sum; that region's bound is +inf instead.
-    """
-    corners = np.concatenate(
-        [r.cells[[0, r.nx - 1, r.n_cells - r.nx, r.n_cells - 1]] for r in regions]
-    ).T[:, None, :]
-    coef = (radar.transmit_powers * radar.gains / (4.0 * math.pi))[:, None]
-    floor = min_separation * min_separation
-    lone = [q for q, r in enumerate(regions) if r.n_cells == 1]
-
-    def bound(flat):
-        sq = flat.reshape(-1, len(coef), 2).T.reshape(2, -1, 1) - corners
-        sq *= sq
-        d2 = np.add(sq[0], sq[1], out=sq[0]).reshape(len(coef), -1)
-        np.maximum(d2, floor, out=d2)
-        u = np.divide(coef, d2, out=d2).sum(axis=0).reshape(len(flat), -1, 4).min(axis=2)
-        if lone:
-            u[:, lone] = np.inf
-        return u
-
-    return bound
-
-
 def power_density(layout, cell, radar, min_separation):
-    """Free-space power density (W/m^2) delivered to one cell.
-
-    Sum over antennas of P_t * G / (4 pi R^2), with R clamped from below
-    at ``min_separation``.
-    """
+    """Free-space power density (W/m^2) delivered to one cell: the
+    ``_density_minima`` closure over that cell."""
     cells = np.atleast_2d(np.asarray(cell, dtype=float))
-    pos = _as_layout(layout, radar)
-    return float(_density_minima([cells], radar, min_separation)(pos)[0])
+    flat = _as_layout(layout, radar).ravel()
+    return float(_density_minima([cells], radar, min_separation)(flat)[0])
 
 
 def joint_objective(layout, scenario):
@@ -270,7 +244,8 @@ def joint_objective(layout, scenario):
 
 
 def make_objective(scenario):
-    """Fast closure mapping a flat decision vector (2J,) to the objective.
+    """The ``_density_minima`` closure over each region's cells: a flat
+    decision vector (2J,) to the objective (M,), or a batch (B, 2J) to (B, M).
 
     Unvalidated; equivalent to ``joint_objective`` on the reshaped layout.
     """
@@ -279,9 +254,15 @@ def make_objective(scenario):
 
 
 def make_bound(scenario):
-    """``_corner_bound``'s closure mapping a (B, 2J) batch of decision
-    vectors to (B, M) upper bounds on their objective rows."""
-    return _corner_bound(scenario.regions, scenario.radar, scenario.min_separation)
+    """The ``_density_minima`` closure over each region's distinct corner
+    cells: a (B, 2J) batch of decision vectors to (B, M) upper bounds on
+    their objective rows. Each entry is a cell density of the objective to
+    the bit, so never below the region minimum; a one-cell region's is exact.
+    """
+    return _density_minima(
+        [r.cells[sorted({0, r.nx - 1, r.n_cells - r.nx, r.n_cells - 1})]
+         for r in scenario.regions],
+        scenario.radar, scenario.min_separation)
 
 
 # ---------------------------------------------------------------------------

@@ -602,7 +602,7 @@ def infinite_bound(x):
 
 # every kind of grid run_single screens windows on: the default 20 x 20,
 # desk's 10 x 10, front-m3's three 4 x 4 regions, and a one-cell region
-# (whose bound is +inf) beside a 20 x 20 one
+# (whose bound is its exact value) beside a 20 x 20 one
 STEP_SCENARIOS = {
     "default": ("default_scenario.json", [(20, 20)] * 2),
     "desk": ("desk_scenario.json", [(10, 10)] * 2),
@@ -755,6 +755,26 @@ class TestWindowedStep:
         # the corner-cell bound, as run_single passes it
         sc = grid_scenario(*STEP_SCENARIOS[kind])
         self.assert_scenario_step_matches(sc, capacity, make_bound(sc))
+
+    def test_one_cell_region_is_screened(self):
+        # a one-cell region's bound is its exact value, not +inf, so the
+        # screen keeps some moved rows from being evaluated
+        sc = grid_scenario(*STEP_SCENARIOS["one-cell"])
+        objective, evaluated = make_objective(sc), []
+
+        def counted(x):
+            evaluated.append(x)
+            return objective(x)
+
+        box = sc.deployment_region
+        lower = np.tile([box.x_min, box.y_min], sc.n_antennas)
+        upper = np.tile([box.x_max, box.y_max], sc.n_antennas)
+        cfg = MopsoConfig(swarm_size=30, v_max=150.0)
+        rng = np.random.default_rng(7)
+        swarm, archive = init_swarm(objective, lower, upper, cfg, rng)
+        for _ in range(5):
+            step(swarm, archive, counted, lower, upper, cfg, rng, make_bound(sc))
+        assert 0 < len(evaluated) < 5 * cfg.swarm_size
 
     @pytest.mark.parametrize("capacity", [None, 6])
     def test_unscreening_bound_matches_per_particle_loop(self, capacity):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS, paper_scenario, reference_objective
@@ -315,6 +315,14 @@ class TestJointObjective:
             assert np.isfinite(vec).all() and (vec > 0).all()
 
 
+def lone_objective(scenario, region, flat):
+    """The reference objective of ``region`` alone: for a one-cell region,
+    its lone column's J terms added pairwise by numpy."""
+    return reference_objective(Scenario(
+        scenario.deployment_region, (region,), scenario.radar, scenario.min_separation
+    ), flat)[0]
+
+
 def plain_objective(scenario, flat):
     """Per-cell oracle: each cell's J terms added one after another in
     Python, except a one-cell region's, which numpy adds pairwise from
@@ -325,9 +333,7 @@ def plain_objective(scenario, flat):
     out = []
     for region in scenario.regions:
         if region.n_cells == 1:
-            out.append(reference_objective(Scenario(
-                scenario.deployment_region, (region,), radar, scenario.min_separation
-            ), flat)[0])
+            out.append(lone_objective(scenario, region, flat))
             continue
         best = math.inf
         for cx, cy in region.cells.tolist():
@@ -347,8 +353,10 @@ GRIDS = [(20, 20), (16, 23), (21, 17), (24, 16), (40, 8), (8, 40), (80, 1), (1, 
 
 def corner_bound(scenario, flat):
     """Per region, the least of the four corner columns of a full per-cell
-    (J, C) pass over its cells, the J terms of a column added in order; +inf
-    for a one-cell region, whose lone column the objective adds pairwise."""
+    (J, C) pass over its cells, the J terms of a column added in order. A
+    one-cell region's lone column is its only corner; the objective adds it
+    pairwise, and the bound, a closure of the same kernel, adds it the same
+    way, so the bound of a one-cell region is its exact objective."""
     radar = scenario.radar
     coef = radar.transmit_powers * radar.gains / (4.0 * math.pi)
     floor = scenario.min_separation * scenario.min_separation
@@ -357,7 +365,7 @@ def corner_bound(scenario, flat):
     for region in scenario.regions:
         c, nx, ny = region.cells, region.nx, region.ny
         if len(c) == 1:
-            out.append(np.inf)
+            out.append(lone_objective(scenario, region, flat))
             continue
         d2 = (pos[:, 0, None] - c[None, :, 0]) ** 2 + (pos[:, 1, None] - c[None, :, 1]) ** 2
         density = (coef[:, None] / np.maximum(d2, floor)).sum(axis=0)
@@ -404,9 +412,10 @@ def random_case(seed, j, grids, batch):
     return sc, layouts.reshape(batch, -1)
 
 
-class TestBlockBound:
-    """The per-layout objective against its oracles, and the corner-cell
-    bound against its oracle and the objective, byte for byte."""
+class TestDensityKernel:
+    """The objective, per layout and on a batch, against its oracles, and
+    the corner-cell bound against its oracle and the objective, byte for
+    byte."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -423,6 +432,26 @@ class TestBlockBound:
             assert row.shape == (len(grids),)
             assert row.tobytes() == reference_objective(sc, f).tobytes()
             assert row.tobytes() == plain_objective(sc, f).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.sampled_from([1, 8, 9, 16]),
+        grids=st.lists(st.sampled_from(GRIDS), min_size=1, max_size=3),
+        batch=st.integers(1, 31),
+    )
+    @example(seed=0, j=9, grids=[(1, 1)], batch=1)
+    @example(seed=1, j=16, grids=[(20, 20), (1, 1)], batch=7)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_equal_the_per_layout_calls(self, seed, j, grids, batch):
+        # a cell's density has the same bits in a batch of any size as on
+        # its own, a one-cell region's too, which the kernel adds pairwise
+        sc, flat = random_case(seed, j, grids, batch)
+        objective = make_objective(sc)
+        got = objective(flat)
+        assert got.shape == (batch, len(grids))
+        for row, f in zip(got, flat):
+            assert row.tobytes() == objective(f).tobytes()
+            assert row.tobytes() == reference_objective(sc, f).tobytes()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -475,15 +504,18 @@ class TestBlockBound:
                                         (80, 1), (1, 80), (75, 1), (1, 1)])
     def test_every_grid_is_bounded(self, rng, nx, ny):
         # no grid size goes unscreened: the bound is the corner oracle's,
-        # +inf only on a one-cell grid, and never below the objective
+        # finite, never below the objective, and equal to it on a one-cell
+        # grid
         sc = paper_scenario(nx=nx, ny=ny)
         flat = rng.uniform(0, 70000, (12, 16))
         got = make_bound(sc)(flat)
         assert np.array_equal(got, np.array([corner_bound(sc, f) for f in flat]))
-        assert np.isinf(got).all() == (nx * ny == 1)
-        assert np.isfinite(got).all() == (nx * ny > 1)
+        assert np.isfinite(got).all()
         objective = make_objective(sc)
-        assert (got >= np.array([objective(f) for f in flat])).all()
+        exact = np.array([objective(f) for f in flat])
+        assert (got >= exact).all()
+        if nx * ny == 1:
+            assert got.tobytes() == exact.tobytes()
 
 
 class TestValidation:
