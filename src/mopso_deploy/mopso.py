@@ -332,10 +332,10 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
     The archive changes only when it admits a candidate, so particles move
     in windows: leaders selected against the archive as it is, moves in one
     set of array operations, objectives evaluated up to the first admitted
-    candidate, which is inserted. The next window starts after it and is
-    twice as wide as the run just committed (the first is a third of the
-    swarm). Personal bests are updated once, at the end: only their own
-    particle reads them.
+    candidate, which is inserted. The next window starts after it and spans
+    every particle left, so a step takes one window per admission before
+    its last particle, plus one. Personal bests are updated once, at the
+    end: only their own particle reads them.
 
     A ``bound`` maps a window's (n, D) positions to (n, M) values no lower
     than the objective's. With one, each window is screened before anything
@@ -357,11 +357,11 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
     n_particles = len(swarm)
     values = np.empty_like(swarm.best_value)
     draws = rng.random((n_particles, 5))
-    start, width = 0, max(1, n_particles // 3)
+    tournaments, start = draws[:, :3].tolist(), 0
     try:
         while start < n_particles:
-            window = slice(start, min(start + width, n_particles))
-            leaders = select_leader(archive, draws[window, :3].tolist())
+            window = slice(start, n_particles)
+            leaders = select_leader(archive, tournaments[window])
             velocity = update_velocity(swarm, window, leaders, draws[window, 3:], cfg)
             position = update_position(swarm, window, velocity, lower, upper)
             rows, end = range(len(position)), 0
@@ -382,7 +382,7 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
                 done = slice(start, start + end)
                 swarm.velocity[done] = velocity[:end]
                 swarm.position[done] = position[:end]
-                start, width = start + end, 2 * end
+                start += end
     finally:
         update_personal_best(swarm, slice(0, start), values[:start])
     return swarm, archive

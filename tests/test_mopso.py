@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -11,6 +11,7 @@ from conftest import (
     oracle_pareto_indices,
     reference_step,
 )
+from mopso_deploy import mopso
 from mopso_deploy.mopso import (
     MopsoConfig,
     ParetoArchive,
@@ -716,6 +717,61 @@ class TestWindowedStep:
             assert 0 < len(evaluated) < 5 * cfg.swarm_size
         else:
             assert len(evaluated) == 5 * cfg.swarm_size
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        swarm_size=st.integers(2, 16),
+        m=st.sampled_from([1, 2, 3]),
+        capacity=st.sampled_from([None, 1, 2, 6]),
+        screened=st.booleans(),
+        stalled=st.booleans(),
+    )
+    @example(seed=0, swarm_size=6, m=2, capacity=None, screened=False, stalled=True)
+    @settings(max_examples=150, deadline=None)
+    def test_one_window_per_admission(self, seed, swarm_size, m, capacity, screened, stalled):
+        # after each admission a step moves every particle left in one
+        # window, so it takes one window plus one per admission at a particle
+        # before the last. The per-particle loop offers particle i to the
+        # archive as its i-th insert, which places each admission. A stalled
+        # objective gives every moved particle a value each member dominates:
+        # nothing is admitted, and each step takes a single window
+        cfg = MopsoConfig(swarm_size=swarm_size, v_max=4.0, archive_capacity=capacity)
+        rng = np.random.default_rng(seed)
+        objective = grid_objective(rng.uniform(-5, 5, (m, 3)), scale=8.0)
+        swarm, archive = init_swarm(objective, self.LOWER, self.UPPER, cfg, rng)
+        if stalled:  # below every member in each objective
+            floor = swarm.best_value.min(axis=0) - 1.0
+
+            def objective(x):
+                return floor.copy()
+
+        bound = rowwise(objective) if screened else None
+        got = (swarm, archive, rng)
+        want = copy.deepcopy(got)
+        insert, admitted = want[1].insert, []
+
+        def counted(*args, **kwargs):
+            admitted.append(insert(*args, **kwargs))
+            return admitted[-1]
+
+        want[1].insert = counted
+        update_position, windows = mopso.update_position, []
+
+        def recorded(swarm, rows, *args):
+            windows.append(rows)
+            return update_position(swarm, rows, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mopso, "update_position", recorded)
+            for _ in range(4):
+                windows.clear()
+                admitted.clear()
+                step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2], bound)
+                reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
+                assert len(admitted) == swarm_size
+                assert len(windows) == 1 + sum(admitted[:-1])
+                assert all(w.stop == swarm_size for w in windows)
+                assert_same_state(got, want)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -468,6 +468,28 @@ class TestDensityKernel:
         for row, f in zip(got, flat):
             assert row.tobytes() == corner_bound(sc, f).tobytes()
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.sampled_from([1, 8, 9, 16]),
+        grids=st.lists(st.sampled_from(GRIDS), min_size=1, max_size=3),
+        n=st.integers(1, 30),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_closure_serves_any_sequence_of_batch_sizes(self, seed, j, grids, n, data):
+        # a step screens the last n, n - 1, ..., 1 layouts of its swarm with
+        # one bound closure, each size on its own scratch; then sizes come
+        # back in any order. Every row keeps the bits of its oracle
+        sc, flat = random_case(seed, j, grids, n)
+        bound, objective, single = make_bound(sc), make_objective(sc), make_objective(sc)
+        want_bound = [corner_bound(sc, f).tobytes() for f in flat]
+        want_objective = [single(f).tobytes() for f in flat]
+        sizes = list(range(n, 0, -1)) + data.draw(st.lists(st.integers(1, n), max_size=12))
+        for size in sizes:
+            rows = slice(n - size, n)
+            assert [r.tobytes() for r in bound(flat[rows])] == want_bound[rows]
+            assert [r.tobytes() for r in objective(flat[rows])] == want_objective[rows]
+
     @pytest.mark.parametrize("grids", [[(16, 23), (40, 8), (1, 80)], [(21, 17), (20, 20)],
                                        [(1, 1), (10, 10)]])
     def test_bound_on_sixteen_antennas(self, grids):
