@@ -19,7 +19,8 @@ array operations.
 Determinism contract: every stochastic draw flows from the single
 ``numpy.random.Generator`` passed in, so identical (seed, config,
 objective) reproduces the full trajectory bit for bit. Any Generator works:
-``step`` asks it only for ``random`` blocks and eviction-tie ``choice`` draws.
+the optimizer, ``init_swarm`` included, asks it only for ``random`` blocks
+and eviction-tie ``choice`` draws.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class MopsoConfig:
             raise ValueError("swarm_size must be >= 2")
         if not all(0 <= c < math.inf for c in (self.inertia, self.c1, self.c2)):
             raise ValueError("inertia, c1, c2 must be finite and non-negative")
-        if not 0 < self.v_max < math.inf:
-            raise ValueError("v_max must be finite and > 0")
+        if not 0 < 2 * self.v_max < math.inf:
+            raise ValueError("v_max must be > 0 and 2 * v_max finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.archive_capacity is not None and self.archive_capacity < 1:
@@ -126,9 +127,10 @@ class ParetoArchive:
     member, in insertion order. Crowding distances are recomputed after
     every mutation; when a bounded archive overflows, the member with the
     smallest crowding is evicted (ties broken uniformly at random). Each
-    mutation replaces the arrays rather than writing into them, in
-    ``_set``, which also computes the crowding (Python floats, which
-    ``select_leader`` indexes faster than an array) and the f1-sorted view.
+    mutation replaces the arrays, read-only, in ``_set``, which also computes
+    the crowding (Python floats, which ``select_leader`` indexes faster than
+    an array) and the f1-sorted view; ``values()`` and ``positions()`` return
+    those arrays, not copies, so what a caller keeps never changes.
 
     With two objectives ``_set`` keeps the members' values sorted by f1
     (``_f1`` ascending, ``_f2`` the matching f2). Members do not dominate
@@ -147,8 +149,8 @@ class ParetoArchive:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 or None")
         self.capacity = capacity
-        self._values = np.empty((0, 0))  # (K, M)
-        self._positions = np.empty((0, 0))  # (K, D)
+        self._values = self._positions = np.empty((0, 0))  # (K, M) and (K, D)
+        self._values.flags.writeable = False
         self.crowding = []  # (K,) Python floats
         self._f1 = self._f2 = None  # the f1-sorted view, when M == 2
 
@@ -156,14 +158,15 @@ class ParetoArchive:
         return self._values.shape[0]
 
     def values(self):
-        """(K, M) array of the archive's objective vectors."""
-        return self._values.copy()
+        """Read-only (K, M) array of the archive's objective vectors."""
+        return self._values
 
     def positions(self):
-        """(K, D) array of the archive's decision vectors."""
-        return self._positions.copy()
+        """Read-only (K, D) array of the archive's decision vectors."""
+        return self._positions
 
     def _set(self, values, positions):
+        values.flags.writeable = positions.flags.writeable = False
         self._values = values
         self._positions = positions
         self.crowding = crowding_distances(values).tolist()
@@ -173,18 +176,17 @@ class ParetoArchive:
             self._f2 = by_f1[:, 1].tolist()
 
     def dominated(self, values):
-        """Whether some member dominates each row of a (B, M) array (a mask)
-        or the one (M,) vector (a bool): the rejection rule of ``insert``."""
-        batch = values.ndim == 2
+        """(B,) mask of the rows of a (B, M) array that some member
+        dominates: the rejection rule of ``insert``."""
         if self._f1 is None:
             if not len(self):
-                return np.zeros(values.shape[:-1], dtype=bool)
-            return dominance(self._values, values[:, None] if batch else values).any(-1)
+                return np.zeros(len(values), dtype=bool)
+            return dominance(self._values, values[:, None]).any(-1)
         f1, f2, out = self._f1, self._f2, []  # the sorted-view test of the class docstring
-        for a, b in values.tolist() if batch else [values.tolist()]:
+        for a, b in values.tolist():
             i = bisect_left(f1, a)
             out.append(i < len(f1) and f1[i] >= a and f2[i] >= b and (f1[i] > a or f2[i] > b))
-        return np.array(out, dtype=bool) if batch else out[0]
+        return np.array(out, dtype=bool)
 
     def insert(self, position, value, rng=None):
         """Insert a candidate; returns True if it entered the archive.
@@ -206,7 +208,7 @@ class ParetoArchive:
             positions = np.empty((0, np.size(position)))
         elif values.shape[1] != value.size:
             raise ValueError("candidate objective length mismatch")
-        if self.dominated(value):
+        if self.dominated(value[None])[0]:
             return False
         kept = ~dominance(value, values)
         values = np.concatenate([values[kept], value[None]])
@@ -246,7 +248,7 @@ def select_leader(archive, rows):
         if crowd[i] == crowd[j]:
             k = i if u_tie < 0.5 else j
         leaders.append(k)
-    return archive._positions[leaders]
+    return archive.positions()[leaders]
 
 
 def update_velocity(swarm, rows, leaders, r, cfg):
@@ -298,18 +300,19 @@ def init_swarm(objective, lower, upper, cfg, rng):
 
     Positions are uniform over the box, velocities uniform in
     [-v_max, v_max], and each personal best starts at the initial
-    position with its objective value.
+    position with its objective value. One ``rng.random((N, 2, D))`` block
+    (particle i's position, then velocity draws) mapped as ``Generator.uniform``
+    maps its draws gives a per-particle ``uniform`` loop's bytes.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    position = np.empty((cfg.swarm_size, lower.size))
-    velocity = np.empty_like(position)
-    values = []
-    for i in range(cfg.swarm_size):
-        position[i] = rng.uniform(lower, upper)
-        velocity[i] = rng.uniform(-cfg.v_max, cfg.v_max, size=lower.size)
-        values.append(np.asarray(objective(position[i]), dtype=float))
-    swarm = Swarm(position, velocity, position.copy(), np.array(values))
+    if not np.isfinite(upper - lower).all():
+        raise ValueError("upper - lower must be finite")
+    u = rng.random((cfg.swarm_size, 2, lower.size))
+    position = lower + (upper - lower) * u[:, 0]
+    velocity = -cfg.v_max + (2 * cfg.v_max) * u[:, 1]
+    values = np.array([objective(x) for x in position], dtype=float)
+    swarm = Swarm(position, velocity, position.copy(), values)
     archive = ParetoArchive(capacity=cfg.archive_capacity)
     for i in pareto_filter(swarm.best_value):
         archive.insert(position[i], swarm.best_value[i], rng=rng)

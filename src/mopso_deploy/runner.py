@@ -18,6 +18,7 @@ import re
 import shutil
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -210,11 +211,6 @@ def run_single(cfg, seed, keep_all_fronts=False):
     )
 
 
-def _run_trial(args):
-    cfg, seed = args
-    return run_single(cfg, seed)
-
-
 def run_monte_carlo(cfg, jobs=1):
     """Independent seeded trials (seeds base_seed + i); returns the results.
 
@@ -228,7 +224,7 @@ def run_monte_carlo(cfg, jobs=1):
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms; not at import
         # the fork start method launches every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.trials)) as pool:
-            results = list(pool.map(_run_trial, [(cfg, s) for s in seeds]))
+            results = list(pool.map(partial(run_single, cfg), seeds))
     else:
         results = [run_single(cfg, s) for s in seeds]
     return results

@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from mopso_deploy.mopso import ParetoArchive, Swarm, pareto_filter
 from mopso_deploy.scenario import scenario_from_dict
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -113,6 +114,26 @@ def reference_objective(scenario, flat):
         np.maximum(d2, min_sep2, out=d2)
         out[i] = (coef[:, None] / d2).sum(axis=0).min()
     return out
+
+
+def reference_init(objective, lower, upper, cfg, rng):
+    """The initial swarm as a per-particle ``Generator.uniform`` loop: the
+    form init_swarm's one ``random`` block replaced, whose swarm, archive and
+    generator state it must match byte for byte."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    position = np.empty((cfg.swarm_size, lower.size))
+    velocity = np.empty_like(position)
+    values = []
+    for i in range(cfg.swarm_size):
+        position[i] = rng.uniform(lower, upper)
+        velocity[i] = rng.uniform(-cfg.v_max, cfg.v_max, size=lower.size)
+        values.append(np.asarray(objective(position[i]), dtype=float))
+    swarm = Swarm(position, velocity, position.copy(), np.array(values))
+    archive = ParetoArchive(capacity=cfg.archive_capacity)
+    for i in pareto_filter(swarm.best_value):
+        archive.insert(position[i], swarm.best_value[i], rng=rng)
+    return swarm, archive
 
 
 def reference_step(swarm, archive, objective, lower, upper, cfg, rng):

@@ -9,9 +9,11 @@ from conftest import (
     grid_scenario,
     oracle_dominates,
     oracle_pareto_indices,
+    reference_init,
     reference_step,
 )
 from mopso_deploy import mopso
+from mopso_deploy.convergence import FrontSnapshot
 from mopso_deploy.mopso import (
     MopsoConfig,
     ParetoArchive,
@@ -435,6 +437,28 @@ class TestArchive:
     def test_empty_archive_dominates_nothing(self):
         assert ParetoArchive().dominated(np.zeros((3, 2))).tolist() == [False] * 3
 
+    def test_reads_are_read_only_and_outlive_mutations(self, rng):
+        # values() and positions() hand out the archive's own arrays, which
+        # nobody can write into; a snapshot taken from them keeps its bytes
+        # through later admissions, capacity-2 evictions and removals, and a
+        # leader is a fresh array, not a view of the archive
+        archive = ParetoArchive(capacity=2)
+        for n, value in enumerate([(0.0, 3.0), (3.0, 0.0)]):
+            archive.insert([float(n), -float(n)], value)
+        for array in (archive.values(), archive.positions()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 9.0
+        snapshot = FrontSnapshot(0, archive.values(), archive.positions())
+        kept = (snapshot.values.tobytes(), snapshot.positions.tobytes())
+        for n, value in enumerate([(1.0, 2.0), (2.0, 1.0), (4.0, 4.0), (5.0, 3.0)], 2):
+            assert archive.insert([float(n), -float(n)], value, rng=rng)
+        assert archive.values().tolist() == [[4.0, 4.0], [5.0, 3.0]]
+        assert (snapshot.values.tobytes(), snapshot.positions.tobytes()) == kept
+        leaders = select_leader(archive, [[0.0, 0.0, 0.0], [0.9, 0.9, 0.0]])
+        assert leaders.flags.writeable
+        assert not np.shares_memory(leaders, archive.positions())
+
     @given(
         st.lists(st.tuples(FINE, FINE, FINE) | st.tuples(GRID, GRID, GRID), max_size=60),
         st.sampled_from([1, 2, 3]),
@@ -676,9 +700,10 @@ class TestWindowedStep:
             assert_same_state(got, want)
 
     def test_any_generator(self):
-        # step asks its generator only for a random block and eviction-tie
-        # choices, so any bit generator gives the per-particle loop's bytes;
-        # capacity 2 keeps every member at +inf, so ties and evictions abound
+        # init_swarm and step ask their generator only for random blocks and
+        # eviction-tie choices, so any bit generator gives the per-particle
+        # loop's bytes; capacity 2 keeps every member at +inf, so ties and
+        # evictions abound
         cfg = MopsoConfig(swarm_size=8, v_max=1.0, archive_capacity=2)
         rng = np.random.Generator(np.random.Philox(0))
         swarm, archive = init_swarm(sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
@@ -944,3 +969,43 @@ class TestWindowedStep:
                     == getattr(want[0], name)[:before].tobytes()), name
             assert (getattr(got[0], name)[before:].tobytes()
                     == getattr(start[0], name)[before:].tobytes()), name
+
+
+class TestInitSwarm:
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        swarm_size=st.integers(2, 12),
+        box=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)),
+                     min_size=1, max_size=6),
+        v_max=st.floats(1e-6, 1e6) | st.sampled_from([1.0, 150.0, 8.9e307]),
+        m=st.sampled_from([1, 2, 3]),
+        capacity=st.sampled_from([None, 1, 2, 5]),
+        bit_generator=st.sampled_from([np.random.PCG64, np.random.Philox]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_particle_uniform_loop(self, seed, swarm_size, box, v_max, m,
+                                               capacity, bit_generator):
+        # boxes of any sign and width, zero included; an objective rounded to
+        # a coarse grid gives ties and duplicates, and capacities 1 and 2 keep
+        # every member at +inf, so seeding the archive draws eviction choices
+        lower = np.array([low for low, _ in box])
+        upper = lower + [width for _, width in box]
+        scale = (1.0 + (upper - lower).max()) ** 2 / 16
+        centers = lower + (upper - lower) * np.random.default_rng(seed).random((m, len(box)))
+        objective = grid_objective(centers, scale=scale)
+        cfg = MopsoConfig(swarm_size=swarm_size, v_max=v_max, archive_capacity=capacity)
+        rng = np.random.Generator(bit_generator(seed))
+        want_rng = copy.deepcopy(rng)
+        got = (*init_swarm(objective, lower, upper, cfg, rng), rng)
+        want = (*reference_init(objective, lower, upper, cfg, want_rng), want_rng)
+        assert_same_state(got, want)
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([0.0, -1e308], [1.0, 1e308]), ([-np.inf], [0.0]), ([0.0], [np.nan])],
+        ids=["overflow", "infinite", "nan"],
+    )
+    def test_non_finite_range_rejected(self, lower, upper):
+        cfg = MopsoConfig(swarm_size=4)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            init_swarm(sphere_objectives, lower, upper, cfg, np.random.default_rng(0))

@@ -657,6 +657,13 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and named in err["message"]
 
+    def test_v_max_whose_velocity_range_overflows_exit_2(self, config_dir, capsys):
+        # v_max is finite but the range 2 * v_max of its velocity draws is not
+        mopso = dict(tiny_experiment_doc()["mopso"], v_max=1e308)
+        assert main(["run", "--config", str(write_experiment(config_dir, mopso=mopso))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "v_max" in err["message"]
+
     def test_zero_trials_override_exit_2(self, config_dir, capsys):
         path = write_experiment(config_dir)
         assert main(["mc", "--config", str(path), "--trials", "0"]) == 2
