@@ -9,7 +9,8 @@ Subcommands:
   report  recompute the c-ratio table from a stored run directory
 
 Errors exit nonzero with a machine-readable JSON line on stderr:
-exit 2 = configuration error, 3 = I/O error, 1 = internal error.
+exit 2 = configuration error, a config whose sizes need more memory than
+is free included; 3 = I/O error; 1 = internal error.
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def main(argv=None):
         return args.func(args)
     except (ConfigError, ScenarioError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
+        return 2
+    except MemoryError:
+        message = ("out of memory: the config's sizes (mopso.swarm_size, the region "
+                   "grids, trials) need more memory than is free")
+        print(json.dumps({"error": "config", "message": message}), file=sys.stderr)
         return 2
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)

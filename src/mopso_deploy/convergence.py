@@ -10,6 +10,9 @@ when it dominates none); the interval distance aggregates these
 per-point relative distances as a max, min, or zero-excluded average.
 The run stops once the aggregate differs from the one h iterations
 earlier by at most a threshold.
+
+The kernels take (K, M) value arrays; ``FrontSnapshot`` is a run's
+record of a front, which the point and interval wrappers take.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ CADENCES = ("every_h", "every_iteration")
 
 @dataclass(frozen=True)
 class FrontSnapshot:
-    """Image of the archive at one iteration: objective values and, when
-    given, the row-aligned positions."""
+    """Image of the archive at one iteration, as a run records it:
+    objective values and, when given, the row-aligned positions."""
 
     iteration: int
     values: np.ndarray  # (K, M)
@@ -85,11 +88,9 @@ def candidate_pairs(new, old):
     return np.divmod(np.flatnonzero(ge), old.shape[0])
 
 
-def relative_distances(front_t, front_prev, pairs=None):
-    """Per newer-front point, the minimum distance to the older-front points it
-    dominates, 0 if none. ``pairs``: a row-major superset of ``candidate_pairs``."""
-    new = front_t.values
-    old = front_prev.values
+def relative_distances(new, old, pairs=None):
+    """Per (K, M) ``new`` row, the minimum distance to the (K', M) ``old`` rows
+    it dominates, 0 if none. ``pairs``: a row-major superset of ``candidate_pairs``."""
     if new.shape[1] != old.shape[1]:
         raise ValueError(f"objective length mismatch: {new.shape} vs {old.shape}")
     rows, cols = candidate_pairs(new, old) if pairs is None else pairs
@@ -111,8 +112,7 @@ def relative_distances(front_t, front_prev, pairs=None):
 
 def relative_distance(k, front_t, front_prev):
     """``relative_distances`` for point k of the newer front alone."""
-    point = FrontSnapshot(front_t.iteration, front_t.values[k])
-    return float(relative_distances(point, front_prev)[0])
+    return float(relative_distances(front_t.values[k][None], front_prev.values)[0])
 
 
 def aggregate(dis):
@@ -137,7 +137,7 @@ def interval_distance(front_t, front_prev, mode="avg"):
     """Aggregate the relative distances of the newer front; returns (dist, z)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    dist, z = aggregate(relative_distances(front_t, front_prev))
+    dist, z = aggregate(relative_distances(front_t.values, front_prev.values))
     return dist[mode], z
 
 
@@ -172,41 +172,35 @@ class ConvergenceMonitor:
     def __init__(self, cfg):
         self.cfg = cfg
         self.trace = DistanceTrace()
-        self._snapshots = {}  # iteration -> (front, its aggregate or None)
+        self._snapshots = {}  # iteration -> (front values, their aggregate or None)
         # None until a relative threshold resolves on the first aggregate
         self.effective_threshold = (
             None if cfg.relative_threshold is not None else cfg.threshold
-        )
-
-    def _normalize(self, front_t, front_prev):
-        span = front_t.values.max(axis=0) - front_t.values.min(axis=0)
-        span = np.where(span > 0, span, 1.0)
-        return (
-            FrontSnapshot(front_t.iteration, front_t.values / span),
-            FrontSnapshot(front_prev.iteration, front_prev.values / span),
         )
 
     def observe(self, t, front_values):
         """Record the archive image at iteration t; returns STOP iff its
         aggregate is within the effective threshold of the one stored with
         the front of iteration t-h, else CONTINUE."""
-        snap = FrontSnapshot(t, np.asarray(front_values, dtype=float))
+        values = FrontSnapshot(t, front_values).values
         cfg = self.cfg
         prev, prev_dist = self._snapshots.pop(t - cfg.step, (None, None))
         dist = pairs = None
         if prev is not None:
             if cfg.normalized:  # division by a positive span keeps each >=, so
                 # these pairs hold all the raw fronts' candidate pairs too
-                norm = self._normalize(snap, prev)
-                pairs = candidate_pairs(norm[0].values, norm[1].values)
-                dist, _ = aggregate(relative_distances(*norm, pairs))
-            dist_raw, z = aggregate(relative_distances(snap, prev, pairs))
+                span = values.max(axis=0) - values.min(axis=0)
+                span = np.where(span > 0, span, 1.0)
+                new, old = values / span, prev / span
+                pairs = candidate_pairs(new, old)
+                dist, _ = aggregate(relative_distances(new, old, pairs))
+            dist_raw, z = aggregate(relative_distances(values, prev, pairs))
             dist = dist_raw if dist is None else dist
-            self.trace.records.append(TraceRecord(t, snap.size, z, dist, dist_raw))
+            self.trace.records.append(TraceRecord(t, len(values), z, dist, dist_raw))
             if self.effective_threshold is None:
                 self.effective_threshold = cfg.relative_threshold * dist[cfg.mode]
         if cfg.cadence == "every_iteration" or t % cfg.step == 0:
-            self._snapshots[t] = (snap, dist)
+            self._snapshots[t] = (values, dist)
         if prev_dist is None:
             return self.CONTINUE
         if abs(dist[cfg.mode] - prev_dist[cfg.mode]) <= self.effective_threshold:

@@ -157,6 +157,11 @@ class ParetoArchive:
     def __len__(self):
         return self._values.shape[0]
 
+    def __setstate__(self, state):
+        # copy.deepcopy and unpickling give writeable arrays: mark them again
+        self.__dict__.update(state)
+        self._values.flags.writeable = self._positions.flags.writeable = False
+
     def values(self):
         """Read-only (K, M) array of the archive's objective vectors."""
         return self._values
@@ -319,7 +324,7 @@ def init_swarm(objective, lower, upper, cfg, rng):
     return swarm, archive
 
 
-def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
+def step(swarm, archive, objective, lower, upper, cfg, rng, bound):
     """One MOPSO iteration over every particle, in index order.
 
     Per particle: select leader, draw r1 and r2, update velocity then
@@ -340,14 +345,14 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
     its last particle, plus one. Personal bests are updated once, at the
     end: only their own particle reads them.
 
-    A ``bound`` maps a window's (n, D) positions to (n, M) values no lower
-    than the objective's. With one, each window is screened before anything
-    is evaluated: only rows whose bound u is not finite, or no member
-    dominates, or dominates the particle's personal best are evaluated, one
-    at a time, and offered to the archive. The others change nothing: their
-    value v <= u, so a member dominating u dominates v, and if v dominated
-    the personal best, u would too; u stands in for v in the personal-best
-    update.
+    The required ``bound`` maps a window's (n, D) positions to (n, M) values
+    no lower than the objective's, and each window is screened with it
+    before anything is evaluated: only rows whose bound u is not finite, or
+    no member dominates, or dominates the particle's personal best are
+    evaluated, one at a time, and offered to the archive. The others change
+    nothing: their value v <= u, so a member dominating u dominates v, and
+    if v dominated the personal best, u would too; u stands in for v in the
+    personal-best update. A bound of +inf rows screens nothing.
 
     Arrays and generator end exactly as a particle-by-particle loop over the
     same block leaves them. If the objective or the archive raises on a
@@ -367,12 +372,10 @@ def step(swarm, archive, objective, lower, upper, cfg, rng, bound=None):
             leaders = select_leader(archive, tournaments[window])
             velocity = update_velocity(swarm, window, leaders, draws[window, 3:], cfg)
             position = update_position(swarm, window, velocity, lower, upper)
-            rows, end = range(len(position)), 0
+            u = values[window] = bound(position)
+            open_ = ~archive.dominated(u) | dominance(u, swarm.best_value[window])
+            rows = np.flatnonzero(open_ | ~np.isfinite(u).all(axis=1)).tolist()
             try:
-                if bound is not None:
-                    u = values[window] = bound(position)
-                    open_ = ~archive.dominated(u) | dominance(u, swarm.best_value[window])
-                    rows = np.flatnonzero(open_ | ~np.isfinite(u).all(axis=1)).tolist()
                 for k in rows:
                     end = k  # if row k raises, the rows before it commit
                     values[start + k] = objective(position[k])

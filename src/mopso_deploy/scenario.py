@@ -150,6 +150,15 @@ class Scenario:
             raise ScenarioError("scenario needs at least one interference region")
         if not 0 < self.min_separation < math.inf:
             raise ScenarioError("min_separation must be finite and > 0")
+        # the largest density the kernel can produce, in its float order: every
+        # antenna at the floor distance of one cell (a floor of 0 divides by 0)
+        floor, peak = self.min_separation * self.min_separation, 0.0
+        for p, g in zip(self.radar.transmit_powers.tolist(), self.radar.gains.tolist()):
+            peak += p * g / (4.0 * math.pi) / floor if floor else math.inf
+        if peak == math.inf:
+            raise ScenarioError(
+                "radar.powers_w, radar.gains and min_separation_m give a power "
+                "density sum(P * G / (4 pi s^2)) that overflows a float")
         object.__setattr__(self, "regions", regions)
 
     @property

@@ -16,6 +16,7 @@ from mopso_deploy.convergence import (
     ConvergenceConfig,
     ConvergenceMonitor,
     FrontSnapshot,
+    aggregate,
     candidate_pairs,
     interval_distance,
     relative_distance,
@@ -75,17 +76,19 @@ class TestRelativeDistance:
     def test_vectorized_matches_scalar(self, rng):
         for _ in range(20):
             new, old = random_front_pair(rng, m=3)
-            vec = relative_distances(new, old)
+            vec = relative_distances(new.values, old.values)
             for k in range(new.size):
                 assert vec[k] == pytest.approx(
                     relative_distance(k, new, old), rel=1e-14
                 )
+            last = relative_distance(len(new.values) - 1, new, old)
+            assert relative_distance(-1, new, old) == last
 
     def test_objective_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            relative_distances(front([(1, 2, 3)]), front([(0, 1)]))
+            relative_distances(np.array([(1.0, 2.0, 3.0)]), np.array([(0.0, 1.0)]))
         with pytest.raises(ValueError, match="mismatch"):
-            relative_distances(front([(1, 2)]), front([(0, 1, 2)]))
+            relative_distances(np.array([(1.0, 2.0)]), np.array([(0.0, 1.0, 2.0)]))
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -102,7 +105,7 @@ class TestRelativeDistance:
         scale = 10.0 ** rng.integers(-6, 7)
         old = np.round(rng.normal(size=(k_old, m)), decimals) * scale
         new = np.round(rng.normal(0.5, 1.0, size=(k_new, m)), decimals) * scale
-        got = relative_distances(front(new, 5), front(old, 0))
+        got = relative_distances(new, old)
         assert got.tobytes() == reference_relative_distances(new, old).tobytes()
 
     @given(
@@ -129,28 +132,29 @@ class TestRelativeDistance:
         offer(60)
         old = archive.values()
         offer(inserts)
-        new = archive.values()
+        new = archive.values()  # read-only, as the monitor passes them
+        assert not new.flags.writeable and not old.flags.writeable
         span = new.max(axis=0) - new.min(axis=0)
         span = np.where(span > 0, span, 1.0)
         for a, b in ((new, old), (new / span, old / span), (old, new)):
-            got = relative_distances(front(a, 5), front(b, 0))
+            got = relative_distances(a, b)
             assert got.tobytes() == reference_relative_distances(a, b).tobytes()
         # division by a positive span keeps every >=, so the scaled fronts'
         # candidate pairs hold the raw ones, as the monitor relies on
         pairs = candidate_pairs(new / span, old / span)
-        got = relative_distances(front(new, 5), front(old, 0), pairs)
+        got = relative_distances(new, old, pairs)
         assert got.tobytes() == reference_relative_distances(new, old).tobytes()
 
     def test_identical_fronts_all_zero(self):
-        values = [(0.0, 3.0, 1.0), (1.0, 2.0, 2.0), (3.0, 0.0, 0.5)]
-        got = relative_distances(front(values, 5), front(values, 0))
+        values = np.array([(0.0, 3.0, 1.0), (1.0, 2.0, 2.0), (3.0, 0.0, 0.5)])
+        got = relative_distances(values, values)
         assert got.tobytes() == np.zeros(3).tobytes()
 
     def test_one_row_changed(self):
         old = np.array([(0.0, 3.0, 1.0), (1.0, 2.0, 2.0), (3.0, 0.0, 0.5)])
         new = old.copy()
         new[1] = (1.5, 2.0, 2.5)  # dominates only the row it replaced
-        got = relative_distances(front(new, 5), front(old, 0))
+        got = relative_distances(new, old)
         assert got.tolist() == [0.0, math.sqrt(0.5), 0.0]
         assert got.tobytes() == reference_relative_distances(new, old).tobytes()
 
@@ -160,7 +164,7 @@ class TestIntervalDistance:
         # dis values {0, 2, 4}
         new = front([(0.5, 0.5), (3, 1), (1, 5)])
         old = front([(1, 1), (3, -1), (1, 1)])
-        dis = relative_distances(new, old)
+        dis = relative_distances(new.values, old.values)
         assert sorted(dis.tolist()) == [0.0, 2.0, 4.0]
         dist, z = interval_distance(new, old, "avg")
         assert (dist, z) == (3.0, 1)
@@ -215,7 +219,7 @@ class TestIntervalDistance:
     def test_non_negative(self, rng):
         for _ in range(20):
             new, old = random_front_pair(rng, m=3)
-            assert (relative_distances(new, old) >= 0).all()
+            assert (relative_distances(new.values, old.values) >= 0).all()
             for mode in ("max", "min", "avg"):
                 dist, _ = interval_distance(new, old, mode)
                 assert dist >= 0
@@ -358,6 +362,31 @@ class TestMonitor:
             monitor.observe(1, (pts + 0.5) * scale)
             traces.append(monitor.trace.records[0].dist["avg"])
         assert traces[0] == pytest.approx(traces[1], rel=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_normalized_trace_equals_reference_on_span_divided_fronts(self, seed, h, m):
+        # each record's dist is the reference kernel on both fronts divided
+        # by the newer front's span (1 where it is 0), dist_raw and z the
+        # reference on the raw fronts
+        cfg = ConvergenceConfig(step=h, normalized=True, cadence="every_iteration")
+        monitor = ConvergenceMonitor(cfg)
+        rng = np.random.default_rng(seed)
+        fronts = []
+        for t in range(12):
+            values = np.round(rng.uniform(size=(int(rng.integers(1, 8)), m)) * 4) / 4
+            fronts.append(values + t // 3)
+            monitor.observe(t, fronts[-1])
+        assert [r.iteration for r in monitor.trace.records] == list(range(h, 12))
+        for record in monitor.trace.records:
+            new, old = fronts[record.iteration], fronts[record.iteration - h]
+            span = new.max(axis=0) - new.min(axis=0)
+            span = np.where(span > 0, span, 1.0)
+            raw = reference_relative_distances(new, old)
+            assert record.dist == aggregate(reference_relative_distances(new / span,
+                                                                         old / span))[0]
+            assert (record.dist_raw, record.z) == aggregate(raw)
+            assert record.n_points == len(new)
 
     def test_snapshot_pruning(self):
         # only fronts a later call compares against are kept: the last

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -459,6 +460,28 @@ class TestArchive:
         assert leaders.flags.writeable
         assert not np.shares_memory(leaders, archive.positions())
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_stay_read_only(self, rng, m, how):
+        # numpy's copy and unpickle hand back writeable arrays; the copy's
+        # members must stay as read-only as the original's, and equal them
+        archive = ParetoArchive(capacity=5)
+        for point in np.round(rng.normal(size=(40, m)), 1):
+            archive.insert(-point, point, rng=rng)
+        if how == "deepcopy":
+            clone = copy.deepcopy(archive)
+        else:
+            clone = pickle.loads(pickle.dumps(archive))
+        for array in (clone.values(), clone.positions()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 9.0
+        assert clone.values().tobytes() == archive.values().tobytes()
+        assert clone.positions().tobytes() == archive.positions().tobytes()
+        assert clone.crowding == archive.crowding
+        assert (clone._f1, clone._f2) == (archive._f1, archive._f2)
+        assert not copy.deepcopy(ParetoArchive()).values().flags.writeable
+
     @given(
         st.lists(st.tuples(FINE, FINE, FINE) | st.tuples(GRID, GRID, GRID), max_size=60),
         st.sampled_from([1, 2, 3]),
@@ -562,7 +585,8 @@ class TestStep:
         )
         history = [archive.values()]
         for _ in range(iterations):
-            step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+            step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng,
+                 infinite_bound(2))
             history.append(archive.values())
         return swarm, archive, history
 
@@ -574,7 +598,8 @@ class TestStep:
         )
         before = {tuple(v) for v in archive.values().tolist()}
         positions = swarm.position.copy()
-        step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng)
+        step(swarm, archive, sphere_objectives, self.LOWER, self.UPPER, cfg, rng,
+             infinite_bound(2))
         after = {tuple(v) for v in archive.values().tolist()}
         assert after == before
         assert swarm.position.ravel() == pytest.approx(positions.ravel())
@@ -620,9 +645,9 @@ def rowwise(objective):
     return lambda x: np.array([objective(row) for row in x])
 
 
-def infinite_bound(x):
-    """A bound that screens out no row."""
-    return np.full((len(x), 2), np.inf)
+def infinite_bound(m):
+    """A bound over m objectives that screens out no row."""
+    return lambda x: np.full((len(x), m), np.inf)
 
 
 # every kind of grid run_single screens windows on: the default 20 x 20,
@@ -671,7 +696,7 @@ class TestWindowedStep:
         got = (swarm, archive, rng)
         want = copy.deepcopy(got)
         for _ in range(4):
-            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2])
+            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2], infinite_bound(m))
             reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
             assert_same_state(got, want)
 
@@ -695,7 +720,7 @@ class TestWindowedStep:
         got = (swarm, archive, rng)
         want = copy.deepcopy(got)
         for _ in range(4):
-            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2])
+            step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2], infinite_bound(m))
             reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
             assert_same_state(got, want)
 
@@ -710,7 +735,8 @@ class TestWindowedStep:
         got = (swarm, archive, rng)
         want = copy.deepcopy(got)
         for _ in range(4):
-            step(*got[:2], sphere_objectives, self.LOWER, self.UPPER, cfg, got[2])
+            step(*got[:2], sphere_objectives, self.LOWER, self.UPPER, cfg, got[2],
+                 infinite_bound(2))
             reference_step(*want[:2], sphere_objectives, self.LOWER, self.UPPER, cfg, want[2])
             assert_same_state(got, want)
 
@@ -733,7 +759,7 @@ class TestWindowedStep:
             evaluated.append(x)
             return sphere_objectives(x)
 
-        bound = rowwise(sphere_objectives) if screened else None
+        bound = rowwise(sphere_objectives) if screened else infinite_bound(2)
         monkeypatch.setattr(ParetoArchive, "insert", counted)
         for _ in range(5):
             step(swarm, archive, objective, self.LOWER, self.UPPER, cfg, rng, bound)
@@ -770,7 +796,7 @@ class TestWindowedStep:
             def objective(x):
                 return floor.copy()
 
-        bound = rowwise(objective) if screened else None
+        bound = rowwise(objective) if screened else infinite_bound(m)
         got = (swarm, archive, rng)
         want = copy.deepcopy(got)
         insert, admitted = want[1].insert, []
@@ -862,7 +888,7 @@ class TestWindowedStep:
         # an infinite bound screens out no row, so every row of a window is
         # evaluated until the first admission, as the loop evaluates them
         sc = grid_scenario(*STEP_SCENARIOS["default"])
-        self.assert_scenario_step_matches(sc, capacity, infinite_bound)
+        self.assert_scenario_step_matches(sc, capacity, infinite_bound(2))
 
     @staticmethod
     def assert_scenario_step_matches(sc, capacity, bound):
@@ -913,7 +939,7 @@ class TestWindowedStep:
         with pytest.raises(ValueError, match="non-finite"):
             reference_step(*want[:2], objective, self.LOWER, self.UPPER, cfg, want[2])
         got = copy.deepcopy(start)
-        bound = rowwise(objective) if screened else None
+        bound = rowwise(objective) if screened else infinite_bound(2)
         with pytest.raises(ValueError, match="non-finite"):
             step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2], bound)
         before = failing - 1
@@ -960,7 +986,7 @@ class TestWindowedStep:
         got = copy.deepcopy(start)
         with pytest.raises(RuntimeError):
             step(*got[:2], objective, self.LOWER, self.UPPER, cfg, got[2],
-                 bound if screened else None)
+                 bound if screened else infinite_bound(2))
         before = failing - 1
         np.testing.assert_equal(got[2].bit_generator.state, want[2].bit_generator.state)
         assert got[1].values().tobytes() == want[1].values().tobytes()

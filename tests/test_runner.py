@@ -664,6 +664,32 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "v_max" in err["message"]
 
+    def test_powers_whose_density_overflows_exit_2(self, config_dir, capsys):
+        # every entry is finite, but P * G / (4 pi s^2) summed over the
+        # antennas is not, which would reach the archive as an inf objective
+        doc = copy.deepcopy(TINY_SCENARIO)
+        doc["radar"]["powers_w"] = [1e308, 1e308]
+        (config_dir / "tiny_scenario.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(write_experiment(config_dir))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        for key in ("radar.powers_w", "radar.gains", "min_separation_m"):
+            assert key in err["message"]
+
+    def test_out_of_memory_exit_2(self, config_dir, monkeypatch, capsys):
+        # a run whose arrays do not fit; nothing is allocated for real
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("mopso_deploy.cli.run_single", no_memory)
+        assert main(["run", "--config", str(write_experiment(config_dir))]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        for key in ("mopso.swarm_size", "grids", "trials"):
+            assert key in err["message"]
+
     def test_zero_trials_override_exit_2(self, config_dir, capsys):
         path = write_experiment(config_dir)
         assert main(["mc", "--config", str(path), "--trials", "0"]) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mopso_deploy.scenario import (
     Rectangle,
     Scenario,
     ScenarioError,
+    _density_minima,
     db_to_linear,
     discretize_region,
     joint_objective,
@@ -553,6 +555,71 @@ class TestValidation:
         region = InterferenceRegion(UNIT, 1, 1)
         with pytest.raises(ScenarioError, match="min_separation"):
             Scenario(Rectangle(0, 10, 0, 10), (region,), single_radar(), 0.0)
+
+    @staticmethod
+    def scenario(powers, gains, min_separation):
+        # two cells 0.1 m apart: every antenna at their midpoint is within
+        # the floor distance of both, so the objective is the peak density
+        region = InterferenceRegion(Rectangle(0.0, 0.2, 0.0, 0.1), 2, 1)
+        radar = RadarParams(np.array(powers, float), np.array(gains, float))
+        return Scenario(Rectangle(0, 10, 0, 10), (region,), radar, min_separation)
+
+    @pytest.mark.parametrize(
+        "power, gain, separation, accepted",
+        [(1.7e308, 1.0, 0.5, False), (1.7e308, 1.0, 100.0, True),
+         (1e308, 1e4, 100.0, False), (1.0, 1.0, 1e-200, False)],
+        ids=["overflow-at-0.5m", "finite-at-100m", "power-times-gain", "floor-underflows"],
+    )
+    def test_peak_density_must_be_finite(self, power, gain, separation, accepted):
+        # eight antennas, as in the shipped scenarios; the check warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if accepted:
+                sc = self.scenario([power] * 8, [gain] * 8, separation)
+                assert np.isfinite(make_objective(sc)(np.full(16, 0.1))).all()
+                return
+            with pytest.raises(ScenarioError) as raised:
+                self.scenario([power] * 8, [gain] * 8, separation)
+        for key in ("radar.powers_w", "radar.gains", "min_separation_m"):
+            assert key in str(raised.value)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10),
+           st.sampled_from([0.25, 0.3, 0.5, 0.7, 1.0, 3.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_peak_density_check_is_exact_at_the_boundary(self, seed, j, separation):
+        # antenna 0's power is bisected over the floats: the largest one the
+        # check accepts gives a finite peak density in the kernel, and the
+        # next float up an infinite one. The other antennas add up to at
+        # most 0.9 of the largest float, and antenna 0 alone overflows at it
+        rng = np.random.default_rng(seed)
+        top, area = np.finfo(float).max, 4.0 * math.pi * separation * separation
+        gains = area * np.append(rng.uniform(1.0, 2.0), rng.uniform(0.5, 1.0, j - 1))
+        share = 0.9 / max(j - 1, 1) / max(area, 1.0)  # so that P * G stays finite
+        powers = np.append(1.0, top * rng.uniform(0.0, share, j - 1))
+        cells = InterferenceRegion(Rectangle(0.0, 0.2, 0.0, 0.1), 2, 1).cells
+
+        def radar(bits):
+            powers[0] = np.array(bits, np.int64).view(np.float64)
+            return powers.tolist(), gains.tolist()
+
+        def accepted(bits):
+            try:
+                self.scenario(*radar(bits), separation)
+            except ScenarioError:
+                return False
+            return True
+
+        lo = int(np.array(1.0).view(np.int64))
+        hi = int(np.array(top).view(np.int64))
+        assert accepted(lo) and not accepted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        for bits, finite in ((lo, True), (hi, False)):
+            params = RadarParams(*map(np.array, radar(bits)))
+            with np.errstate(over="ignore"):
+                peak = _density_minima([cells], params, separation)(np.full(2 * j, 0.1))
+            assert np.isfinite(peak).all() == finite
 
 
 class TestScenarioFile:
